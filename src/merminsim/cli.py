@@ -17,7 +17,6 @@ from .experiment import (
     counts_to_csv,
     estimate_table,
     estimate_to_json,
-    full_term_run,
     run_plan,
     sampled_class_counts,
 )
@@ -104,6 +103,7 @@ def _cmd_transpile(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
+    csv = cfg.output == "csv"
     plan = build_plan(
         cfg.n,
         prep_phase=cfg.prep_phase,
@@ -111,19 +111,21 @@ def _cmd_run(args) -> int:
         seed=cfg.seed,
         device=cfg.device,
         noise=cfg.noise,
+        # CSV export writes one file per symmetry class whatever the reduction.
+        reduction="classes" if csv else cfg.reduction,
     )
-    runner = full_term_run if cfg.reduction == "full-terms" else run_plan
-    est = runner(plan, mode=cfg.mode)
-    if cfg.output == "json":
-        print(json.dumps(estimate_to_json(est), sort_keys=True, indent=2))
-    elif cfg.output == "table":
-        sys.stdout.write(estimate_table(est))
-    else:
+    if csv:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for cls, counts in sampled_class_counts(plan):
             path = out_dir / f"counts_class{cls.prime_count}.csv"
             path.write_text(counts_to_csv(counts))
+        return 0
+    est = run_plan(plan, mode=cfg.mode)
+    if cfg.output == "json":
+        print(json.dumps(estimate_to_json(est), sort_keys=True, indent=2))
+    else:
+        sys.stdout.write(estimate_table(est))
     return 0
 
 

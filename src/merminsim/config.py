@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .experiment import DEFAULT_SHOTS
 from .noise import NoiseModel
 from .transpile import DeviceModel, default_device
 
@@ -32,8 +33,6 @@ class RunConfig:
 _TOP_KEYS = {"n", "shots", "seed", "mode", "reduction", "output", "prep_phase"}
 _NOISE_KEYS = {"depol_1q", "depol_2q", "readout_flip"}
 _DEVICE_KEYS = {"cnot_target", "robustness_rank"}
-
-_DEFAULT_SHOTS = {3: 1024, 4: 8192, 5: 8192}
 
 
 def _parse_int(value: str, key: str, line: int) -> int:
@@ -92,7 +91,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("n must be 3, 4 or 5", got[1])
 
     got = lookup("", "shots")
-    shots = _DEFAULT_SHOTS[n] if got is None else _parse_int(got[0], "shots", got[1])
+    shots = DEFAULT_SHOTS[n] if got is None else _parse_int(got[0], "shots", got[1])
     if shots < 1:
         raise ConfigError("shots must be >= 1", got[1])
 

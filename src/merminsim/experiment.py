@@ -1,6 +1,7 @@
-"""End-to-end pipeline: plan per-class circuits, collect exact or sampled
-counts, estimate class expectations by parity, combine with class weights,
-and render verdicts against the classical and quantum bounds."""
+"""End-to-end pipeline: plan one circuit per measured unit (a symmetry class
+or a polynomial term), collect exact or sampled counts, estimate unit
+expectations by parity, combine with unit weights, and render verdicts
+against the classical and quantum bounds."""
 from __future__ import annotations
 
 import math
@@ -58,6 +59,10 @@ def resolve_prep_phase(n: int, selector) -> float:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """The measured units of one run, each a class and its lowered circuit.
+    Under reduction "full-terms" each unit is one polynomial term, held as a
+    one-member class. The circuits do not depend on the noise model."""
+
     n: int
     prep_phase: float
     classes: tuple[tuple[SymmetryClass, Circuit], ...]
@@ -65,6 +70,7 @@ class ExperimentPlan:
     seed: int
     device: DeviceModel
     noise: NoiseModel
+    reduction: str = "classes"
 
     def __post_init__(self):
         if self.shots_per_class < 1:
@@ -106,9 +112,13 @@ def build_plan(
     seed: int = 0,
     device: DeviceModel | None = None,
     noise: NoiseModel = ZERO_NOISE,
+    reduction: str = "classes",
 ) -> ExperimentPlan:
-    """One lowered circuit per prime-count symmetry class. The GHZ control
-    qubit is the device's CNOT target, so the fan-out is star-legal."""
+    """One lowered circuit per measured unit: per prime-count symmetry class
+    for reduction "classes", per polynomial term for "full-terms" (the term
+    (coeff, mask) becomes SymmetryClass(mask.bit_count(), coeff, mask)). The
+    GHZ control qubit is the device's CNOT target, so the fan-out is
+    star-legal."""
     if n not in DEFAULT_SHOTS:
         raise ValueError("plans are defined for n in {3, 4, 5}")
     if device is None:
@@ -119,13 +129,19 @@ def build_plan(
     if shots is None:
         shots = DEFAULT_SHOTS[n]
     poly = canonical_polynomial(n)
+    if reduction == "classes":
+        units = symmetry_classes(poly)
+    elif reduction == "full-terms":
+        units = [SymmetryClass(mask.bit_count(), coeff, mask) for coeff, mask in poly.terms]
+    else:
+        raise ValueError("reduction must be classes or full-terms")
     prep = ghz_circuit(n, phase, control=device.cnot_target)
     lowered = []
-    for cls in symmetry_classes(poly):
+    for cls in units:
         setting = MeasurementSetting(n, cls.representative_mask)
         circ, _ = transpile(with_setting(prep, setting), device)
         lowered.append((cls, circ))
-    return ExperimentPlan(n, phase, tuple(lowered), shots, seed, device, noise)
+    return ExperimentPlan(n, phase, tuple(lowered), shots, seed, device, noise, reduction)
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +152,11 @@ def _parity_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * (par & 1).astype(float)
 
 
+def _signed_sum(weights: dict) -> float:
+    """Sum of values keyed by bitstring, each signed by its key's parity."""
+    return float(sum(_parity_signs(len(key))[int(key, 2)] * w for key, w in weights.items()))
+
+
 def parity_expectation_probs(probs, n: int | None = None) -> float:
     """Signed parity sum over a probability table: even-parity mass minus
     odd-parity mass. Accepts an OutcomeDistribution, an array indexed by
@@ -143,11 +164,7 @@ def parity_expectation_probs(probs, n: int | None = None) -> float:
     if isinstance(probs, OutcomeDistribution):
         return float(np.dot(_parity_signs(probs.n_qubits), probs.probabilities))
     if isinstance(probs, dict):
-        total = 0.0
-        for key, p in probs.items():
-            sign = -1.0 if key.count("1") % 2 else 1.0
-            total += sign * p
-        return total
+        return _signed_sum(probs)
     arr = np.asarray(probs, dtype=float)
     if n is None:
         n = int(arr.size).bit_length() - 1
@@ -160,11 +177,7 @@ def parity_expectation(t: CountsTable) -> tuple[float, float]:
     sqrt((1 - E^2) / shots)."""
     if not t.counts:
         raise ValueError("empty counts table")
-    total = 0.0
-    for key, cnt in t.counts.items():
-        sign = -1.0 if key.count("1") % 2 else 1.0
-        total += sign * cnt
-    e = total / t.shots
+    e = _signed_sum(t.counts) / t.shots
     var = max(1.0 - e * e, 0.0)
     return e, math.sqrt(var / t.shots)
 
@@ -232,88 +245,52 @@ def combine(
 
 
 def class_distributions(plan: ExperimentPlan) -> list[tuple[SymmetryClass, OutcomeDistribution]]:
+    """The noisy outcome distribution of every unit of the plan."""
     return [(cls, noisy_distribution(circ, plan.noise)) for cls, circ in plan.classes]
+
+
+def sampled_class_counts(plan: ExperimentPlan) -> list[tuple[SymmetryClass, CountsTable]]:
+    """The per-unit counts of a sampled run: unit i draws shots_per_class
+    shots with seed plan.seed XOR i."""
+    return [
+        (cls, sample_counts(dist, plan.shots_per_class, plan.seed ^ index))
+        for index, (cls, dist) in enumerate(class_distributions(plan))
+    ]
 
 
 def run_plan(plan: ExperimentPlan, mode: str = "exact") -> MerminEstimate:
     """Exact mode evaluates the noisy outcome probabilities directly
-    (stderr 0); sampled mode draws shots_per_class counts per class with a
-    per-class seed derived as plan.seed XOR class index."""
-    if mode not in ("exact", "sampled"):
+    (stderr 0); sampled mode estimates from sampled_class_counts."""
+    if mode == "exact":
+        per_class = [
+            (cls.prime_count, parity_expectation_probs(dist), 0.0)
+            for cls, dist in class_distributions(plan)
+        ]
+    elif mode == "sampled":
+        per_class = [
+            (cls.prime_count, *parity_expectation(counts))
+            for cls, counts in sampled_class_counts(plan)
+        ]
+    else:
         raise ValueError("mode must be exact or sampled")
-    bounds = bounds_for(plan.n)
-    per_class = []
-    classes = []
-    for index, (cls, circ) in enumerate(plan.classes):
-        dist = noisy_distribution(circ, plan.noise)
-        if mode == "exact":
-            e, se = parity_expectation_probs(dist), 0.0
-        else:
-            counts = sample_counts(dist, plan.shots_per_class, plan.seed ^ index)
-            e, se = parity_expectation(counts)
-        per_class.append((cls.prime_count, e, se))
-        classes.append(cls)
     return combine(
-        per_class, classes, bounds, plan.n,
-        mode=mode, reduction="classes", prep_phase=plan.prep_phase,
+        per_class, [cls for cls, _ in plan.classes], bounds_for(plan.n), plan.n,
+        mode=mode, reduction=plan.reduction, prep_phase=plan.prep_phase,
         shots_per_class=plan.shots_per_class, seed=plan.seed,
     )
 
 
-def sampled_class_counts(plan: ExperimentPlan) -> list[tuple[SymmetryClass, CountsTable]]:
-    """The per-class counts a sampled run would use, for export."""
-    out = []
-    for index, (cls, circ) in enumerate(plan.classes):
-        dist = noisy_distribution(circ, plan.noise)
-        out.append((cls, sample_counts(dist, plan.shots_per_class, plan.seed ^ index)))
-    return out
-
-
 def full_term_run(plan: ExperimentPlan, mode: str = "exact") -> MerminEstimate:
-    """Run one circuit per polynomial term instead of per class; term seeds
-    are plan.seed XOR term index. In exact mode this equals the class-reduced
-    result. The per-entry list carries one entry per term."""
-    if mode not in ("exact", "sampled"):
-        raise ValueError("mode must be exact or sampled")
-    poly = canonical_polynomial(plan.n)
-    bounds = bounds_for(plan.n)
-    prep = ghz_circuit(plan.n, plan.prep_phase, control=plan.device.cnot_target)
-    value = 0.0
-    var = 0.0
-    entries = []
-    for index, (coeff, mask) in enumerate(poly.terms):
-        setting = MeasurementSetting(plan.n, mask)
-        circ, _ = transpile(with_setting(prep, setting), plan.device)
-        dist = noisy_distribution(circ, plan.noise)
-        if mode == "exact":
-            e, se = parity_expectation_probs(dist), 0.0
-        else:
-            counts = sample_counts(dist, plan.shots_per_class, plan.seed ^ index)
-            e, se = parity_expectation(counts)
-        value += coeff * e
-        var += (coeff * se) ** 2
-        entries.append(ClassEstimate(mask.bit_count(), coeff, float(e), float(se)))
-    stderr = math.sqrt(var)
-    sigma = None
-    if mode == "sampled" and stderr > 0.0:
-        sigma = (value - bounds.lr_bound) / stderr
-    genuine = bool(value > GENUINE_THRESHOLD_4) if plan.n == 4 else None
-    return MerminEstimate(
-        n_parties=plan.n,
-        mode=mode,
-        reduction="full-terms",
-        prep_phase=plan.prep_phase,
-        shots_per_class=plan.shots_per_class,
-        seed=plan.seed,
-        per_class=tuple(entries),
-        value=float(value),
-        stderr=float(stderr),
-        lr_bound=bounds.lr_bound,
-        qm_bound=bounds.qm_bound,
-        violates_lr=bool(value - bounds.lr_bound > 0),
-        sigma_distance=sigma,
-        exceeds_genuine_threshold=genuine,
+    """run_plan on the full-terms form of plan: one circuit per polynomial
+    term, so one per-class entry per term. Without single-qubit depolarizing
+    the exact value equals the class-reduced one. With it they differ: term
+    circuits carry different numbers of one-qubit gates, so a class
+    representative no longer stands for every term of its class."""
+    terms = build_plan(
+        plan.n, plan.prep_phase, plan.shots_per_class, plan.seed, plan.device,
+        plan.noise, reduction="full-terms",
     )
+    return run_plan(terms, mode)
 
 
 def exact_value(

@@ -12,6 +12,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -234,6 +235,7 @@ def operator_from_classes(p: MerminPolynomial, settings=None) -> np.ndarray:
     return mermin_operator(MerminPolynomial(n, tuple(terms)), settings)
 
 
+@lru_cache(maxsize=None)
 def bounds_for(n: int) -> BoundsRecord:
     poly = canonical_polynomial(n) if n in CANONICAL_SIGNS else recursive_polynomial(n)
     return BoundsRecord(float(lr_bound(poly)), qm_bound(poly))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,12 +105,8 @@ def degradation_curve(n: int, m_grid) -> list[tuple[NoiseModel, float]]:
     transpiled pipeline."""
     from .experiment import build_plan, run_plan
 
-    out = []
-    for m in m_grid:
-        plan = build_plan(n, noise=m)
-        est = run_plan(plan, mode="exact")
-        out.append((m, est.value))
-    return out
+    plan = build_plan(n)
+    return [(m, run_plan(replace(plan, noise=m), mode="exact").value) for m in m_grid]
 
 
 def calibrate_depol_2q(target: float = 2.85, tol: float = 1e-4,
@@ -119,9 +115,10 @@ def calibrate_depol_2q(target: float = 2.85, tol: float = 1e-4,
     The exact value is monotone decreasing in depol_2q from the ideal 4.0."""
     from .experiment import build_plan, run_plan
 
+    plan = build_plan(3)
+
     def value(p: float) -> float:
-        plan = build_plan(3, noise=NoiseModel(depol_2q=p))
-        return run_plan(plan, mode="exact").value
+        return run_plan(replace(plan, noise=NoiseModel(depol_2q=p)), mode="exact").value
 
     lo, hi = 0.0, 1.0
     if not value(lo) >= target >= value(hi):

@@ -153,7 +153,8 @@ def _movable_phase_positions(c: Circuit) -> list[int]:
 
 def place_phase_pass(c: Circuit, d: DeviceModel) -> Circuit:
     """Reassign every movable phase gate to the most robust qubit, keeping
-    list positions. Identity when nothing is movable."""
+    list positions. Returns c itself exactly when no phase gate is movable,
+    and a new circuit otherwise."""
     if d.n_qubits != c.n_qubits:
         raise ValueError("device and circuit qubit counts differ")
     positions = _movable_phase_positions(c)
@@ -184,13 +185,12 @@ def transpile(c: Circuit, d: DeviceModel) -> tuple[Circuit, TranspileReport]:
         1 for g in c.gates if g.kind == "cnot" and g.qubits[1] != d.cnot_target
     )
     c1 = reverse_cnot_pass(c, d)
-    moved = _movable_phase_positions(c1)
     c2 = place_phase_pass(c1, d)
     c3 = cancel_adjacent_pass(c2)
     report = TranspileReport(
         gate_count_before=len(c.gates),
         gate_count_after=len(c3.gates),
         added_h_count=4 * reversed_count,
-        phase_host_qubit=d.robustness_rank[0] if moved else -1,
+        phase_host_qubit=d.robustness_rank[0] if c2 is not c1 else -1,
     )
     return c3, report

@@ -92,17 +92,26 @@ def test_resolve_prep_phase():
 @pytest.mark.parametrize("n,n_classes,shots", [(3, 2, 1024), (4, 5, 8192), (5, 3, 8192)])
 def test_build_plan_shape(n, n_classes, shots):
     plan = build_plan(n)
+    terms = build_plan(n, reduction="full-terms")
+    assert (plan.reduction, terms.reduction) == ("classes", "full-terms")
     assert len(plan.classes) == n_classes
+    assert len(terms.classes) == {3: 4, 4: 16, 5: 16}[n]
     assert plan.shots_per_class == shots
     assert DEFAULT_SHOTS[n] == shots
-    for cls, circ in plan.classes:
+    for cls, circ in plan.classes + terms.classes:
         assert constraint_violations(circ, plan.device) == []
         assert circ.measure_basis == ("z",) * n
+    # a term is a one-member class: its weight is the term's coefficient
+    assert [(cls.signed_weight, cls.representative_mask) for cls, _ in terms.classes] == list(
+        canonical_polynomial(n).terms
+    )
 
 
 def test_build_plan_rejects_other_sizes():
     with pytest.raises(ValueError):
         build_plan(2)
+    with pytest.raises(ValueError, match="reduction must be classes or full-terms"):
+        build_plan(3, reduction="terms")
 
 
 def test_class_distributions_are_parity_pure_at_zero_noise():
@@ -196,12 +205,13 @@ def test_sampled_zero_noise_hits_edge():
 
 
 def test_per_class_seeds_differ():
-    plan = build_plan(3, shots=256, seed=3, noise=NoiseModel(depol_2q=0.2))
-    tables = sampled_class_counts(plan)
-    assert len(tables) == 2
-    seeds = {t.seed for _, t in tables}
-    assert len(seeds) == 2
-    assert all(t.shots == 256 for _, t in tables)
+    # unit i draws with seed XOR i, under either reduction
+    for reduction, n_units in (("classes", 2), ("full-terms", 4)):
+        plan = build_plan(3, shots=256, seed=3, noise=NoiseModel(depol_2q=0.2),
+                          reduction=reduction)
+        tables = sampled_class_counts(plan)
+        assert [t.seed for _, t in tables] == [3 ^ i for i in range(n_units)]
+        assert all(t.shots == 256 for _, t in tables)
 
 
 NOISE_POINTS = [
@@ -214,12 +224,32 @@ NOISE_POINTS = [
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("model", NOISE_POINTS)
 def test_class_and_term_pipelines_agree(n, model):
+    # holds only without single-qubit depolarizing, see the test below
     plan = build_plan(n, noise=model)
     by_class = run_plan(plan, mode="exact")
     by_term = full_term_run(plan, mode="exact")
     assert by_term.value == pytest.approx(by_class.value, abs=1e-10)
     assert by_term.reduction == "full-terms"
     assert by_class.reduction == "classes"
+
+
+def test_class_and_term_pipelines_differ_under_single_qubit_depolarizing():
+    """Term circuits of one class carry different numbers of one-qubit
+    gates. For n = 3 term 100 lowers to four gates whose only one-qubit
+    gates precede the CNOTs into qubit 2, so Z0Z1Z2 stays +1 on every
+    branch, while the class representative 001 carries eight."""
+    model = NoiseModel(depol_1q=0.03)
+    terms = build_plan(3, noise=model, reduction="full-terms")
+    by_term = run_plan(terms, mode="exact")
+    by_class = run_plan(build_plan(3, noise=model), mode="exact")
+    index = [cls.representative_mask for cls, _ in terms.classes].index(0b100)
+    gates = [(g.kind, g.qubits) for g in terms.classes[index][1].gates]
+    assert gates == [("h", (0,)), ("cnot", (0, 2)), ("h", (1,)), ("cnot", (1, 2))]
+    assert by_term.per_class[index].expectation == pytest.approx(1.0, abs=1e-12)
+    assert by_class.per_class[0].prime_count == 1
+    assert by_class.per_class[0].expectation < 0.9
+    assert by_term.value - by_class.value == pytest.approx(0.1678, abs=1e-4)
+    assert full_term_run(build_plan(3, noise=model), mode="exact") == by_term
 
 
 def test_full_term_run_circuit_count():

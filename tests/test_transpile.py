@@ -153,6 +153,19 @@ def test_place_pass_identity_cases():
     assert place_phase_pass(bare, DeviceModel(3, 0, (2, 1, 0))) == bare
 
 
+def test_place_pass_returns_its_input_only_when_nothing_is_movable():
+    """transpile reports a phase host exactly when this pass returns a new
+    circuit, also when the movable gate already sits on the host."""
+    device = DeviceModel(3, cnot_target=0)
+    bare = ghz_circuit(3)
+    assert place_phase_pass(bare, device) is bare
+    assert transpile(bare, device)[1].phase_host_qubit == -1
+    c = ghz_circuit(3, math.pi / 2)  # S already on the host, qubit 0
+    out = place_phase_pass(c, device)
+    assert out == c and out is not c
+    assert transpile(c, device)[1].phase_host_qubit == 0
+
+
 def test_place_pass_leaves_measurement_rotations_alone():
     """Basis-change phases sit behind an H, so the state there is not
     branch-diagonal and they must not move."""
