@@ -97,6 +97,8 @@ def parse_config(text: str) -> RunConfig:
 
     got = lookup("", "seed")
     seed = 0 if got is None else _parse_int(got[0], "seed", got[1])
+    if seed < 0:
+        raise ConfigError("seed must be >= 0", got[1])
 
     got = lookup("", "mode")
     mode = "exact" if got is None else got[0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,14 +175,16 @@ def mermin_operator(p: MerminPolynomial, settings=None) -> np.ndarray:
 def qm_bound(p: MerminPolynomial, settings=None, tol: float = 1e-10,
              max_iter: int = 20000) -> float:
     """Largest eigenvalue magnitude of the Mermin operator, via power
-    iteration on its square (covers both signs of violation)."""
+    iteration on its square (covers both signs of violation). Issues a
+    RuntimeWarning, and returns the last estimate, when max_iter iterations
+    end without the Rayleigh quotient settling to within tol."""
     op = mermin_operator(p, settings)
     squared = op @ op
     dim = squared.shape[0]
     rng = np.random.default_rng(7)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
-    prev = -1.0
+    prev, change = -1.0, math.inf
     for _ in range(max_iter):
         nxt = squared @ vec
         norm = np.linalg.norm(nxt)
@@ -189,10 +192,17 @@ def qm_bound(p: MerminPolynomial, settings=None, tol: float = 1e-10,
             return 0.0
         rayleigh = float(np.vdot(vec, nxt).real)
         vec = nxt / norm
-        if abs(rayleigh - prev) <= tol * max(1.0, abs(rayleigh)):
-            prev = rayleigh
-            break
+        change = abs(rayleigh - prev)
         prev = rayleigh
+        if change <= tol * max(1.0, abs(rayleigh)):
+            break
+    else:
+        warnings.warn(
+            f"qm_bound: power iteration did not converge in {max_iter} iterations "
+            f"(last Rayleigh-quotient change {change:.3g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return math.sqrt(max(prev, 0.0))
 
 

@@ -21,6 +21,11 @@ MAX_DM_QUBITS = 6
 # Generator.multinomial so that counts stay stable across numpy versions.
 RNG_ID = "pcg64-invcdf"
 
+# Chunk size and guide-table size of sample_counts. The bucket count must be
+# a power of two, so that bucketing a double is exact.
+_CHUNK = 1 << 16
+_GUIDE_BUCKETS = 1 << 12
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 GATE_1Q = {
@@ -281,16 +286,41 @@ def _format_outcome(index: int, n: int) -> str:
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTable:
-    """Multinomial sample via inverse-CDF lookup on raw PCG64 doubles."""
+    """Multinomial sample via inverse-CDF lookup on raw PCG64 doubles.
+
+    Shot i lands on the first outcome whose cumulative probability exceeds
+    the i-th double u. The lookup goes through a guide table (Chen & Asau,
+    1974) over _GUIDE_BUCKETS equal buckets of [0, 1): a bucket that holds no
+    cdf entry maps every u in it to one outcome, and only shots in the few
+    buckets that do are binary-searched. The doubles are drawn and counted
+    in chunks of _CHUNK, so memory does not grow with shots. For
+    nonnegative probabilities the counts are exactly those of a binary
+    search over all shots at once: the bucket size is a power of two, so
+    floor(u * buckets) is exact, and PCG64 yields the same doubles in
+    chunks as in one draw.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(shots)
+    n_out = 1 << dist.n_qubits
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.clip(idx, 0, (1 << dist.n_qubits) - 1)
-    raw = np.bincount(idx, minlength=1 << dist.n_qubits)
+    edges = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="right")
+    # A straddling bucket holds a cdf entry; its shots take the sentinel n_out.
+    table = np.where(edges[:-1] == edges[1:], edges[:-1], n_out)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    size = min(shots, _CHUNK)
+    u_buf, bucket_buf, idx_buf = np.empty(size), np.empty(size, np.intp), np.empty(size, np.intp)
+    raw = np.zeros(n_out, dtype=np.int64)
+    for start in range(0, shots, _CHUNK):
+        m = min(_CHUNK, shots - start)
+        u, bucket, idx = rng.random(out=u_buf[:m]), bucket_buf[:m], idx_buf[:m]
+        np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")
+        # Buckets lie in range, so "clip" never clips; it only skips the
+        # bounds-checked copy that the default mode makes with out=.
+        np.take(table, bucket, out=idx, mode="clip")
+        straddling = np.flatnonzero(idx == n_out)
+        idx[straddling] = np.searchsorted(cdf, u[straddling], side="right")
+        raw += np.bincount(idx, minlength=n_out)
     counts = {
         _format_outcome(i, dist.n_qubits): int(cnt)
         for i, cnt in enumerate(raw)

@@ -161,6 +161,15 @@ def test_run_config_error_exits_1(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_run_negative_seed_exits_1_with_line(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nmode = sampled\nseed = -8\n")
+    code, out, err = run_cli(capsys, "run", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "seed must be >= 0, line 3" in err
+
+
 def test_run_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(tmp_path / "absent.cfg"))
     assert code == 1

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ def test_qm_bounds():
     assert qm_bound(canonical_polynomial(3)) == pytest.approx(4.0, abs=1e-8)
     assert qm_bound(canonical_polynomial(4)) == pytest.approx(8 * SQRT2, abs=1e-8)
     assert qm_bound(canonical_polynomial(5)) == pytest.approx(16.0, abs=1e-8)
+
+
+def test_qm_bound_warns_when_power_iteration_does_not_converge():
+    with pytest.warns(RuntimeWarning, match=r"did not converge in 1 iterations"):
+        qm_bound(canonical_polynomial(3), max_iter=1)
+
+
+def test_bounds_converge_without_warning():
+    bounds_for.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (3, 4, 5):
+            bounds_for(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

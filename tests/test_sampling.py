@@ -1,4 +1,5 @@
-"""Pinned counts for `sample_counts`.
+"""Tests of `sample_counts`: pinned counts, a differential test against a
+one-shot reference sampler, and bounded sampling memory.
 
 The golden file stores, for each case, the outcome probabilities, the shot
 count, the seed and the exact counts the sampler returned when the file was
@@ -15,14 +16,16 @@ from __future__ import annotations
 
 import functools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from merminsim.experiment import build_plan, class_distributions
 from merminsim.noise import NoiseModel
-from merminsim.statevector import OutcomeDistribution, sample_counts
+from merminsim.statevector import _CHUNK, OutcomeDistribution, sample_counts
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sample_counts.json"
 
@@ -78,6 +81,65 @@ def test_sample_counts_match_pinned(name):
 
 def test_golden_covers_every_case():
     assert sorted(_load_golden()) == CASE_NAMES
+
+
+
+def reference_counts(dist: OutcomeDistribution, shots: int, seed: int) -> dict[str, int]:
+    """The sampler's definition computed the direct way: every shot's PCG64
+    double drawn at once and binary-searched in the cdf."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    cdf = np.cumsum(dist.probabilities)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, u, side="right")
+    raw = np.bincount(idx, minlength=1 << dist.n_qubits)
+    return {format(i, f"0{dist.n_qubits}b"): int(c) for i, c in enumerate(raw) if c > 0}
+
+
+@st.composite
+def distributions(draw) -> OutcomeDistribution:
+    """Nonnegative distributions on n = 1..6 qubits with zero entries, point
+    masses and tiny masses next to ordinary ones."""
+    n = draw(st.integers(1, 6))
+    size = 1 << n
+    if draw(st.booleans()):
+        weights = [0.0] * size
+        weights[draw(st.integers(0, size - 1))] = 1.0
+    else:
+        entry = st.one_of(
+            st.just(0.0),
+            st.floats(1e-300, 1e-9),
+            st.floats(1e-3, 1.0),
+        )
+        weights = draw(st.lists(entry, min_size=size, max_size=size))
+        if sum(weights) == 0.0:
+            weights[-1] = 1.0
+    probs = np.array(weights)
+    return OutcomeDistribution(n, probs / probs.sum())
+
+
+SHOT_COUNTS = st.one_of(
+    st.integers(1, 300),
+    st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 3 * _CHUNK + 7]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(), SHOT_COUNTS, st.integers(0, 2**64 - 1))
+def test_sample_counts_match_reference(dist, shots, seed):
+    """Identical counts hold for nonnegative probabilities, which every
+    pipeline distribution has (|amp|^2, and noisy_distribution clips)."""
+    assert sample_counts(dist, shots, seed).counts == reference_counts(dist, shots, seed)
+
+
+def test_sampling_memory_does_not_grow_with_shots():
+    dist = OutcomeDistribution(5, np.full(32, 1 / 32))
+    tracemalloc.start()
+    try:
+        sample_counts(dist, 1 << 22, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 if __name__ == "__main__":
