@@ -309,11 +309,14 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTab
     table = np.where(edges[:-1] == edges[1:], edges[:-1], n_out)
     rng = np.random.Generator(np.random.PCG64(seed))
     size = min(shots, _CHUNK)
-    u_buf, bucket_buf, idx_buf = np.empty(size), np.empty(size, np.intp), np.empty(size, np.intp)
+    u_buf = np.empty(size)
+    bucket_buf = np.empty(size, dtype=np.intp)
+    idx_buf = np.empty(size, dtype=np.intp)
     raw = np.zeros(n_out, dtype=np.int64)
     for start in range(0, shots, _CHUNK):
         m = min(_CHUNK, shots - start)
-        u, bucket, idx = rng.random(out=u_buf[:m]), bucket_buf[:m], idx_buf[:m]
+        u = rng.random(out=u_buf[:m])
+        bucket, idx = bucket_buf[:m], idx_buf[:m]
         np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")
         # Buckets lie in range, so "clip" never clips; it only skips the
         # bounds-checked copy that the default mode makes with out=.
