@@ -21,6 +21,8 @@ def main() -> None:
     ap.add_argument("--max", type=float, default=0.2, dest="top")
     ap.add_argument("--param", choices=PARAMS + ("all",), default="all")
     args = ap.parse_args()
+    if args.points < 2:
+        ap.error("--points must be at least 2")
 
     params = PARAMS if args.param == "all" else (args.param,)
     grid = [args.top * i / (args.points - 1) for i in range(args.points)]

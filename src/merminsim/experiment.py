@@ -152,32 +152,21 @@ def _parity_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * (par & 1).astype(float)
 
 
-def _signed_sum(weights: dict) -> float:
-    """Sum of values keyed by bitstring, each signed by its key's parity."""
-    return float(sum(_parity_signs(len(key))[int(key, 2)] * w for key, w in weights.items()))
-
-
-def parity_expectation_probs(probs, n: int | None = None) -> float:
-    """Signed parity sum over a probability table: even-parity mass minus
-    odd-parity mass. Accepts an OutcomeDistribution, an array indexed by
-    outcome, or a dict keyed by bitstring. No normalization is applied."""
+def parity_expectation_probs(probs) -> float:
+    """Signed parity sum over a table indexed by outcome: even-parity mass
+    minus odd-parity mass. Accepts an OutcomeDistribution or an array of
+    length 2^n, such as CountsTable.counts. No normalization is applied."""
     if isinstance(probs, OutcomeDistribution):
-        return float(np.dot(_parity_signs(probs.n_qubits), probs.probabilities))
-    if isinstance(probs, dict):
-        return _signed_sum(probs)
+        probs = probs.probabilities
     arr = np.asarray(probs, dtype=float)
-    if n is None:
-        n = int(arr.size).bit_length() - 1
-    return float(np.dot(_parity_signs(n), arr))
+    return float(np.dot(_parity_signs(arr.size.bit_length() - 1), arr))
 
 
 def parity_expectation(t: CountsTable) -> tuple[float, float]:
     """Parity estimator and its standard error from sampled counts. The
     stderr follows the multinomial covariance of the signed sum,
     sqrt((1 - E^2) / shots)."""
-    if not t.counts:
-        raise ValueError("empty counts table")
-    e = _signed_sum(t.counts) / t.shots
+    e = parity_expectation_probs(t.counts) / t.shots
     var = max(1.0 - e * e, 0.0)
     return e, math.sqrt(var / t.shots)
 
@@ -363,7 +352,6 @@ def estimate_table(est: MerminEstimate) -> str:
 def counts_to_csv(t: CountsTable) -> str:
     """outcome,count rows over all 2^n outcomes, zeros included."""
     lines = ["outcome,count"]
-    for i in range(1 << t.n_qubits):
-        key = format(i, f"0{t.n_qubits}b")
-        lines.append(f"{key},{t.counts.get(key, 0)}")
+    for i, count in enumerate(t.counts):
+        lines.append(f"{i:0{t.n_qubits}b},{count}")
     return "\n".join(lines) + "\n"

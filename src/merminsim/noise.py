@@ -10,14 +10,13 @@ import numpy as np
 
 from .circuits import Circuit
 from .statevector import (
-    MAX_DM_QUBITS,
-    CNOT_MATRIX,
-    GATE_1Q,
     PAULI,
     DensityMatrix,
     KrausChannel,
     OutcomeDistribution,
-    _apply_kraus,
+    apply_channel,
+    apply_gate_dm,
+    dm_diagonal_probabilities,
 )
 
 
@@ -76,22 +75,18 @@ def noisy_distribution(c: Circuit, m: NoiseModel) -> OutcomeDistribution:
     matching depolarizing channel on the touched qubits; per-qubit readout
     confusion on the final Z-basis probabilities."""
     n = c.n_qubits
-    if n > MAX_DM_QUBITS:
-        raise ValueError(f"density-matrix propagation limited to {MAX_DM_QUBITS} qubits")
     dim = 1 << n
     entries = np.zeros((dim, dim), dtype=complex)
     entries[0, 0] = 1.0
+    rho = DensityMatrix(n, entries)
     chan_1q = depolarizing_channel(m.depol_1q, 1) if m.depol_1q > 0 else None
     chan_2q = depolarizing_channel(m.depol_2q, 2) if m.depol_2q > 0 else None
     for g in c.gates:
-        mat = CNOT_MATRIX if g.kind == "cnot" else GATE_1Q[g.kind]
-        entries = _apply_kraus(entries, (mat,), g.qubits, n)
+        rho = apply_gate_dm(rho, g)
         chan = chan_2q if g.kind == "cnot" else chan_1q
         if chan is not None:
-            entries = _apply_kraus(entries, chan.operators, g.qubits, n)
-    rho = DensityMatrix(n, entries)
-    probs = np.real(np.diag(rho.entries)).copy()
-    probs = _readout_confusion(probs, n, m.readout_flip)
+            rho = apply_channel(rho, chan, g.qubits)
+    probs = _readout_confusion(dm_diagonal_probabilities(rho), n, m.readout_flip)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError("probability mass drifted beyond tolerance")

@@ -118,9 +118,10 @@ class OutcomeDistribution:
         self.probabilities = np.asarray(self.probabilities, dtype=float)
         if self.probabilities.shape != (1 << self.n_qubits,):
             raise ValueError("probability array length must be 2**n_qubits")
-        if np.any(self.probabilities < -1e-12) or np.any(self.probabilities > 1 + 1e-12):
+        # Negated comparisons, so that NaN fails both checks and inf the first.
+        if not (np.all(self.probabilities >= -1e-12) and np.all(self.probabilities <= 1 + 1e-12)):
             raise ValueError("probabilities out of [0, 1]")
-        if abs(float(self.probabilities.sum()) - 1.0) > 1e-9:
+        if not abs(float(self.probabilities.sum()) - 1.0) <= 1e-9:
             raise ValueError("probabilities do not sum to 1")
 
     def probability(self, bitstring: str) -> float:
@@ -129,22 +130,27 @@ class OutcomeDistribution:
         return float(self.probabilities[int(bitstring, 2)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountsTable:
-    """Sampled outcome counts; keys are n-bit strings, qubit 0 leftmost."""
+    """Sampled outcome counts, indexed like OutcomeDistribution.probabilities."""
 
     n_qubits: int
-    counts: dict[str, int]
+    counts: np.ndarray
     shots: int
     seed: int
     rng_id: str = RNG_ID
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+        if self.shots < 1:
+            raise ValueError("empty counts table: shots must be >= 1")
+        counts = np.asarray(self.counts).astype(np.int64, casting="safe", copy=False)
+        object.__setattr__(self, "counts", counts)
+        if counts.shape != (1 << self.n_qubits,):
+            raise ValueError("counts array length must be 2**n_qubits")
+        if np.any(counts < 0):
+            raise ValueError("counts must be nonnegative")
+        if int(counts.sum()) != self.shots:
             raise ValueError("counts must sum to shots")
-        for key in self.counts:
-            if len(key) != self.n_qubits or set(key) - {"0", "1"}:
-                raise ValueError(f"bad outcome key {key!r}")
 
 
 @dataclass(eq=False)
@@ -281,10 +287,6 @@ def outcome_distribution(state: Statevector) -> OutcomeDistribution:
     return OutcomeDistribution(state.n_qubits, probs)
 
 
-def _format_outcome(index: int, n: int) -> str:
-    return format(index, f"0{n}b")
-
-
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTable:
     """Multinomial sample via inverse-CDF lookup on raw PCG64 doubles.
 
@@ -324,12 +326,7 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTab
         straddling = np.flatnonzero(idx == n_out)
         idx[straddling] = np.searchsorted(cdf, u[straddling], side="right")
         raw += np.bincount(idx, minlength=n_out)
-    counts = {
-        _format_outcome(i, dist.n_qubits): int(cnt)
-        for i, cnt in enumerate(raw)
-        if cnt > 0
-    }
-    return CountsTable(dist.n_qubits, counts, shots, seed)
+    return CountsTable(dist.n_qubits, raw, shots, seed)
 
 
 def density_from_state(state: Statevector) -> DensityMatrix:

@@ -59,17 +59,17 @@ def test_parity_expectation_probs_no_renormalization():
 
 
 def test_parity_expectation_counts():
-    t = CountsTable(2, {"00": 3, "01": 1}, shots=4, seed=0)
+    t = CountsTable(2, np.array([3, 1, 0, 0]), shots=4, seed=0)
     e, se = parity_expectation(t)
     assert e == pytest.approx(0.5)
     assert se == pytest.approx(math.sqrt((1 - 0.25) / 4))
-    certain = CountsTable(3, {"000": 10}, shots=10, seed=0)
+    certain = CountsTable(3, np.array([10, 0, 0, 0, 0, 0, 0, 0]), shots=10, seed=0)
     assert parity_expectation(certain) == (1.0, 0.0)
 
 
 def test_parity_expectation_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        parity_expectation(CountsTable(1, {}, shots=0, seed=0))
+        parity_expectation(CountsTable(1, np.array([0, 0]), shots=0, seed=0))
 
 
 def test_stderr_probability():

@@ -158,10 +158,23 @@ def test_outcome_distribution_validation():
         OutcomeDistribution(1, np.array([-0.1, 1.1]))
 
 
+@pytest.mark.parametrize("probs", [[math.nan, math.nan], [1.0, math.nan]])
+def test_outcome_distribution_rejects_nan(probs):
+    with pytest.raises(ValueError):
+        OutcomeDistribution(1, np.array(probs))
+
+
+@pytest.mark.parametrize("probs", [[math.inf, 0.0], [1.0, -math.inf], [math.inf, -math.inf]])
+def test_outcome_distribution_rejects_inf(probs):
+    with pytest.raises(ValueError):
+        OutcomeDistribution(1, np.array(probs))
+
+
 def test_sample_counts_degenerate():
     dist = OutcomeDistribution(1, np.array([1.0, 0.0]))
     table = sample_counts(dist, 100, seed=5)
-    assert table.counts == {"0": 100}
+    assert table.counts.tolist() == [100, 0]
+    assert table.counts.dtype == np.int64
     assert table.shots == 100
     assert table.rng_id == RNG_ID
 
@@ -171,17 +184,17 @@ def test_sample_counts_deterministic():
     a = sample_counts(dist, 8192, seed=42)
     b = sample_counts(dist, 8192, seed=42)
     c = sample_counts(dist, 8192, seed=43)
-    assert a.counts == b.counts
-    assert a.counts != c.counts
+    assert np.array_equal(a.counts, b.counts)
+    assert not np.array_equal(a.counts, c.counts)
 
 
 def test_sample_counts_bell_within_4_sigma():
     dist = outcome_distribution(simulate_circuit(ghz_circuit(2)))
     table = sample_counts(dist, 8192, seed=11)
     sigma = math.sqrt(8192 * 0.25)
-    assert abs(table.counts.get("00", 0) - 4096) <= 4 * sigma
-    assert table.counts.get("01", 0) == 0
-    assert table.counts.get("10", 0) == 0
+    assert abs(table.counts[0b00] - 4096) <= 4 * sigma
+    assert table.counts[0b01] == 0
+    assert table.counts[0b10] == 0
 
 
 def test_sample_counts_rejects_zero_shots():
@@ -198,8 +211,7 @@ def test_sampling_chi_square_over_seeds():
     pooled = np.zeros(8)
     for seed in range(100):
         table = sample_counts(dist, 8192, seed=seed)
-        for key, count in table.counts.items():
-            pooled[int(key, 2)] += count
+        pooled += table.counts
     expected = dist.probabilities * 8192 * 100
     keep = expected > 0
     _, p_value = stats.chisquare(pooled[keep], expected[keep])
@@ -207,10 +219,19 @@ def test_sampling_chi_square_over_seeds():
 
 
 def test_counts_table_validation():
-    with pytest.raises(ValueError):
-        CountsTable(1, {"0": 3}, shots=4, seed=0)
-    with pytest.raises(ValueError):
-        CountsTable(1, {"2": 4}, shots=4, seed=0)
+    with pytest.raises(ValueError, match="sum to shots"):
+        CountsTable(1, np.array([3, 0]), shots=4, seed=0)
+    with pytest.raises(ValueError, match="length"):
+        CountsTable(1, np.array([0, 0, 4]), shots=4, seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        CountsTable(1, np.array([5, -1]), shots=4, seed=0)
+    with pytest.raises(ValueError, match="empty"):
+        CountsTable(1, np.array([0, 0]), shots=0, seed=0)
+    with pytest.raises(TypeError):
+        CountsTable(1, np.array([1.5, 2.5]), shots=3, seed=0)
+    table = CountsTable(1, [1, 3], shots=4, seed=0)
+    assert table.counts.dtype == np.int64
+    assert table.counts.tolist() == [1, 3]
 
 
 def test_density_from_state():
