@@ -9,6 +9,8 @@ is informative in itself; see the README.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 from merminsim import NoiseModel, bounds_for
 from merminsim.noise import calibrate_depol_2q, degradation_curve
@@ -33,4 +35,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does). Point stdout at
+        # devnull so that the flush at exit cannot raise again, and stop.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

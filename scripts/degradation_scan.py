@@ -8,6 +8,8 @@ rate; every row is an exact density-matrix evaluation, no sampling.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 from merminsim import NoiseModel
 from merminsim.noise import degradation_curve
@@ -36,4 +38,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does). Point stdout at
+        # devnull so that the flush at exit cannot raise again, and stop.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -8,6 +8,8 @@ rate the sampled column shows the shot-noise picture a device would give.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 from merminsim import NoiseModel, build_plan, run_plan
 
@@ -34,4 +36,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does). Point stdout at
+        # devnull so that the flush at exit cannot raise again, and stop.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -41,7 +41,6 @@ from .noise import (
     ZERO_NOISE,
     calibrate_depol_2q,
     degradation_curve,
-    depolarizing_channel,
     noisy_distribution,
 )
 from .statevector import (
@@ -50,9 +49,9 @@ from .statevector import (
     OutcomeDistribution,
     PauliString,
     Statevector,
-    apply_channel,
     apply_gate,
     density_from_state,
+    depolarize_dm,
     dm_pauli_expectation,
     outcome_distribution,
     pauli_expectation,

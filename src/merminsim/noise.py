@@ -1,21 +1,25 @@
 """Error channels: depolarizing noise after each gate on the touched qubits
-and a per-qubit readout bit flip at measurement."""
+and a per-qubit readout bit flip at measurement.
+
+The noise acts on an exact density matrix. Each gate is applied with the
+statevector stride kernel to the entries viewed as a 2n-qubit vector (U on
+the row qubits, conj(U) on the column qubits). Depolarizing with rate p on
+the gate's k qubits is the closed form rho -> (1 - p) rho + p Tr_Q(rho) (x)
+I / 2^k, with no Kraus sum. Readout flips act on the final Z-basis
+probabilities.
+"""
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuits import Circuit
 from .statevector import (
-    PAULI,
     DensityMatrix,
-    KrausChannel,
     OutcomeDistribution,
-    apply_channel,
     apply_gate_dm,
+    depolarize_dm,
     dm_diagonal_probabilities,
 )
 
@@ -39,28 +43,6 @@ class NoiseModel:
 ZERO_NOISE = NoiseModel()
 
 
-def depolarizing_channel(p: float, k: int) -> KrausChannel:
-    """k-qubit depolarizing map: with probability p the state is replaced by
-    the maximally mixed state on those qubits. Kraus weights: 1 - p + p/4^k
-    on the identity, p/4^k on each other Pauli product."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability in [0, 1]")
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    paulis = [PAULI["i"], PAULI["x"], PAULI["y"], PAULI["z"]]
-    if k == 1:
-        products = paulis
-    else:
-        products = [np.kron(a, b) for a, b in itertools.product(paulis, paulis)]
-    d4 = 4 ** k
-    ops = []
-    for idx, mat in enumerate(products):
-        w = 1.0 - p + p / d4 if idx == 0 else p / d4
-        if w > 0.0:
-            ops.append(math.sqrt(w) * mat)
-    return KrausChannel(k, tuple(ops))
-
-
 def _readout_confusion(probs: np.ndarray, n: int, r: float) -> np.ndarray:
     if r == 0.0:
         return probs
@@ -71,21 +53,16 @@ def _readout_confusion(probs: np.ndarray, n: int, r: float) -> np.ndarray:
 
 
 def noisy_distribution(c: Circuit, m: NoiseModel) -> OutcomeDistribution:
-    """Exact density-matrix propagation: each gate's unitary, then the
-    matching depolarizing channel on the touched qubits; per-qubit readout
+    """Exact density-matrix propagation: each gate's unitary, then
+    depolarizing on the touched qubits at the gate's rate; per-qubit readout
     confusion on the final Z-basis probabilities."""
     n = c.n_qubits
-    dim = 1 << n
-    entries = np.zeros((dim, dim), dtype=complex)
-    entries[0, 0] = 1.0
-    rho = DensityMatrix(n, entries)
-    chan_1q = depolarizing_channel(m.depol_1q, 1) if m.depol_1q > 0 else None
-    chan_2q = depolarizing_channel(m.depol_2q, 2) if m.depol_2q > 0 else None
+    rho = DensityMatrix.zero(n)
     for g in c.gates:
         rho = apply_gate_dm(rho, g)
-        chan = chan_2q if g.kind == "cnot" else chan_1q
-        if chan is not None:
-            rho = apply_channel(rho, chan, g.qubits)
+        p = m.depol_2q if g.kind == "cnot" else m.depol_1q
+        if p > 0:
+            rho = depolarize_dm(rho, p, g.qubits)
     probs = _readout_confusion(dm_diagonal_probabilities(rho), n, m.readout_flip)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:

@@ -6,6 +6,7 @@ significant bit and the leftmost character of an outcome string.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,17 +38,16 @@ GATE_1Q = {
     "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
+# The gate whose matrix is the entrywise complex conjugate of each kind's
+# matrix; apply_gate_dm applies it to the column index of a density matrix.
+GATE_CONJ = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
+
 PAULI = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-# Basis order |control target>.
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 
 @dataclass(eq=False)
@@ -153,48 +153,38 @@ class CountsTable:
             raise ValueError("counts must sum to shots")
 
 
+def _check_dm_qubits(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_DM_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_DM_QUBITS} for density matrices")
+
+
 @dataclass(eq=False)
 class DensityMatrix:
     n_qubits: int
     entries: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_DM_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_DM_QUBITS} for density matrices")
+        _check_dm_qubits(self.n_qubits)
         self.entries = np.asarray(self.entries, dtype=complex)
         dim = 1 << self.n_qubits
         if self.entries.shape != (dim, dim):
             raise ValueError("entries must be a 2**n x 2**n matrix")
+
+    @classmethod
+    def zero(cls, n_qubits: int) -> "DensityMatrix":
+        """|0...0><0...0|; the qubit count is checked before the 4^n array
+        is allocated."""
+        _check_dm_qubits(n_qubits)
+        dim = 1 << n_qubits
+        entries = np.zeros((dim, dim), dtype=complex)
+        entries[0, 0] = 1.0
+        return cls(n_qubits, entries)
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, self.entries.copy())
-
-
-@dataclass(eq=False)
-class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators on
-    1 or 2 qubits."""
-
-    n_qubits: int
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if self.n_qubits not in (1, 2):
-            raise ValueError("channels act on 1 or 2 qubits")
-        dim = 1 << self.n_qubits
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        for op in ops:
-            if op.shape != (dim, dim):
-                raise ValueError("Kraus operator has wrong shape")
-        total = sum(op.conj().T @ op for op in ops)
-        if not np.allclose(total, np.eye(dim), atol=1e-10):
-            raise ValueError("Kraus operators are not trace preserving")
-        self.operators = ops
 
 
 @lru_cache(maxsize=None)
@@ -212,6 +202,20 @@ def _cnot_indices(n: int, control: int, target: int):
     idx = np.arange(1 << n)
     sel = idx[((idx >> pc) & 1 == 1) & ((idx >> pt) & 1 == 0)]
     return sel, sel | (1 << pt)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_blocks(n: int, qubits: tuple[int, ...]):
+    """Indices into the (2,) * 2n tensor of a density matrix that select each
+    block whose row and column bits agree on the given qubits."""
+    blocks = []
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        idx = [slice(None)] * (2 * n)
+        for q, b in zip(qubits, bits):
+            idx[q] = idx[n + q] = b
+        # With the Ellipsis a full index (k = n) is a 0-d view, not a scalar copy.
+        blocks.append((*idx, Ellipsis))
+    return tuple(blocks)
 
 
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
@@ -334,45 +338,41 @@ def density_from_state(state: Statevector) -> DensityMatrix:
     return DensityMatrix(state.n_qubits, np.outer(amps, amps.conj()))
 
 
-def _contract(tens: np.ndarray, op: np.ndarray, positions: list[int]) -> np.ndarray:
-    """Contract op's input axes with the given tensor axes and put its output
-    axes back in their place."""
-    k = len(positions)
-    opt = op.reshape((2,) * (2 * k))
-    tens = np.tensordot(opt, tens, axes=(list(range(k, 2 * k)), positions))
-    return np.moveaxis(tens, list(range(k)), positions)
+def apply_gate_dm(rho: DensityMatrix, gate: Gate) -> DensityMatrix:
+    """rho -> U rho U^dag. Row-major, the entries are a 2n-qubit vector whose
+    qubit q is row qubit q and whose qubit n + q is column qubit q, so the
+    statevector kernel applies U to the rows and conj(U) to the columns."""
+    n = rho.n_qubits
+    if any(q >= n for q in gate.qubits):
+        raise ValueError("gate index out of range")
+    out = rho.entries.copy()
+    vec = out.reshape(-1)
+    _apply_gate_inplace(vec, gate, 2 * n)
+    _apply_gate_inplace(vec, Gate(GATE_CONJ[gate.kind], tuple(n + q for q in gate.qubits)), 2 * n)
+    return DensityMatrix(n, out)
 
 
-def _apply_kraus(entries: np.ndarray, ops, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    tens = entries.reshape((2,) * (2 * n))
-    row_axes = [q for q in qubits]
-    col_axes = [n + q for q in qubits]
-    acc = np.zeros_like(tens)
-    for op in ops:
-        term = _contract(tens, op, row_axes)
-        term = _contract(term, op.conj(), col_axes)
-        acc += term
-    return acc.reshape(entries.shape)
-
-
-def apply_channel(rho: DensityMatrix, channel: KrausChannel, qubits) -> DensityMatrix:
+def depolarize_dm(rho: DensityMatrix, p: float, qubits) -> DensityMatrix:
+    """k-qubit depolarizing on the given qubits in closed form:
+    rho -> (1 - p) rho + p Tr_Q(rho) (x) I / 2^k. Tr_Q(rho) is the sum of the
+    2^k diagonal blocks (row and column bits of Q equal); each of those
+    blocks then receives p / 2^k times it."""
     qubits = tuple(qubits)
-    if len(qubits) != channel.n_qubits:
-        raise ValueError("channel arity does not match qubit count")
+    n = rho.n_qubits
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be a probability in [0, 1]")
     if len(set(qubits)) != len(qubits):
         raise ValueError("duplicate qubit")
-    if any(q >= rho.n_qubits for q in qubits):
+    if any(not 0 <= q < n for q in qubits):
         raise ValueError("qubit index out of range")
-    out = _apply_kraus(rho.entries, channel.operators, qubits, rho.n_qubits)
-    return DensityMatrix(rho.n_qubits, out)
-
-
-def apply_gate_dm(rho: DensityMatrix, gate: Gate) -> DensityMatrix:
-    if any(q >= rho.n_qubits for q in gate.qubits):
-        raise ValueError("gate index out of range")
-    mat = CNOT_MATRIX if gate.kind == "cnot" else GATE_1Q[gate.kind]
-    out = _apply_kraus(rho.entries, (mat,), gate.qubits, rho.n_qubits)
-    return DensityMatrix(rho.n_qubits, out)
+    out = rho.entries.copy()
+    tens = out.reshape((2,) * (2 * n))
+    blocks = _diagonal_blocks(n, qubits)
+    traced = sum(tens[idx] for idx in blocks) * (p / len(blocks))
+    tens *= 1.0 - p
+    for idx in blocks:
+        tens[idx] += traced
+    return DensityMatrix(n, out)
 
 
 def dm_pauli_expectation(rho: DensityMatrix, p: PauliString) -> float:

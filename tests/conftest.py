@@ -2,17 +2,22 @@
 
 The oracle builds every unitary from literal 2x2 matrices and explicit
 Kronecker products, with no code shared with the package kernels, so
-agreement between the two is meaningful.
+agreement between the two is meaningful. Noise channels are given by Kraus
+operators and applied as sums of tensor contractions, the reference for the
+package's closed-form depolarizing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from merminsim.statevector import DensityMatrix
 from merminsim.transpile import DeviceModel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -107,6 +112,79 @@ def oracle_pauli_matrix(label: str) -> np.ndarray:
 def oracle_expectation(vec: np.ndarray, label: str) -> float:
     val = np.vdot(vec, oracle_pauli_matrix(label) @ vec)
     return float(val.real)
+
+
+@dataclass(eq=False)
+class KrausChannel:
+    """Completely positive trace-preserving map given by Kraus operators on
+    1 or 2 qubits."""
+
+    n_qubits: int
+    operators: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if self.n_qubits not in (1, 2):
+            raise ValueError("channels act on 1 or 2 qubits")
+        dim = 1 << self.n_qubits
+        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
+        if not ops:
+            raise ValueError("channel needs at least one Kraus operator")
+        for op in ops:
+            if op.shape != (dim, dim):
+                raise ValueError("Kraus operator has wrong shape")
+        total = sum(op.conj().T @ op for op in ops)
+        if not np.allclose(total, np.eye(dim), atol=1e-10):
+            raise ValueError("Kraus operators are not trace preserving")
+        self.operators = ops
+
+
+def depolarizing_channel(p: float, k: int) -> KrausChannel:
+    """k-qubit depolarizing map: with probability p the state is replaced by
+    the maximally mixed state on those qubits. Kraus weights: 1 - p + p/4^k
+    on the identity, p/4^k on each other Pauli product."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be a probability in [0, 1]")
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2")
+    paulis = [ORACLE_PAULI[ch] for ch in "ixyz"]
+    if k == 1:
+        products = paulis
+    else:
+        products = [np.kron(a, b) for a, b in itertools.product(paulis, paulis)]
+    d4 = 4 ** k
+    ops = []
+    for idx, mat in enumerate(products):
+        w = 1.0 - p + p / d4 if idx == 0 else p / d4
+        if w > 0.0:
+            ops.append(math.sqrt(w) * mat)
+    return KrausChannel(k, tuple(ops))
+
+
+def _contract(tens: np.ndarray, op: np.ndarray, positions: list[int]) -> np.ndarray:
+    """Contract op's input axes with the given tensor axes and put its output
+    axes back in their place."""
+    k = len(positions)
+    opt = op.reshape((2,) * (2 * k))
+    tens = np.tensordot(opt, tens, axes=(list(range(k, 2 * k)), positions))
+    return np.moveaxis(tens, list(range(k)), positions)
+
+
+def apply_channel(rho: DensityMatrix, channel: KrausChannel, qubits) -> DensityMatrix:
+    """sum_K K rho K^dag with each K acting on the given qubits."""
+    qubits = tuple(qubits)
+    if len(qubits) != channel.n_qubits:
+        raise ValueError("channel arity does not match qubit count")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("duplicate qubit")
+    n = rho.n_qubits
+    if any(q >= n for q in qubits):
+        raise ValueError("qubit index out of range")
+    tens = rho.entries.reshape((2,) * (2 * n))
+    acc = np.zeros_like(tens)
+    for op in channel.operators:
+        term = _contract(tens, op, list(qubits))
+        acc += _contract(term, op.conj(), [n + q for q in qubits])
+    return DensityMatrix(n, acc.reshape(rho.entries.shape))
 
 
 @pytest.fixture(scope="session")

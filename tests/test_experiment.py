@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,22 @@ def test_estimator_unbiased_over_seeds():
     mean = float(np.mean(draws))
     stderr = parity_expectation(sample_counts(dist, 8192, seed=0))[1]
     assert abs(mean - exact) < 3 * stderr / math.sqrt(200)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sampled_stderr_calibrated_under_noise(n):
+    """Over 400 seeds (16 apart, so no two share a unit stream) the z-scores
+    of the sampled value against the exact one have unit spread and about
+    68% of them lie within one reported stderr."""
+    plan = build_plan(n, shots=1024, noise=NoiseModel(depol_2q=0.1, readout_flip=0.02))
+    exact = run_plan(plan, mode="exact").value
+    z = []
+    for i in range(400):
+        est = run_plan(replace(plan, seed=16 * i), mode="sampled")
+        z.append((est.value - exact) / est.stderr)
+    z = np.array(z)
+    assert 0.85 <= float(np.std(z)) <= 1.15
+    assert 0.60 <= float(np.mean(np.abs(z) <= 1.0)) <= 0.76
 
 
 def test_estimate_to_json_schema():

@@ -9,7 +9,8 @@ a reversed robustness ranking) rotate across the grid so every value meets
 every n.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only when
-an output change is intended.
+an output change is intended; `scripts/golden_drift.py OLD NEW` then shows
+which cases changed and by how much.
 """
 from __future__ import annotations
 

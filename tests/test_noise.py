@@ -1,9 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from merminsim.circuits import Circuit, cnot, ghz_circuit, h, parse_circuit, with_setting, MeasurementSetting
+from merminsim.circuits import (
+    GATE_KINDS,
+    Circuit,
+    Gate,
+    MeasurementSetting,
+    cnot,
+    ghz_circuit,
+    h,
+    parse_circuit,
+    with_setting,
+)
 from merminsim.experiment import build_plan, run_plan
 from merminsim.mermin import bounds_for
 from merminsim.noise import (
@@ -11,12 +23,11 @@ from merminsim.noise import (
     ZERO_NOISE,
     calibrate_depol_2q,
     degradation_curve,
-    depolarizing_channel,
     noisy_distribution,
 )
-from merminsim.statevector import outcome_distribution, simulate_circuit
+from merminsim.statevector import DensityMatrix, outcome_distribution, simulate_circuit
 
-from conftest import FIXTURES, oracle_unitary
+from conftest import FIXTURES, apply_channel, depolarizing_channel, kron_chain, oracle_unitary
 
 
 def test_noise_model_validation():
@@ -101,6 +112,58 @@ def test_full_depolarizing_gives_even_odd_balance():
 def test_noisy_distribution_size_cap():
     with pytest.raises(ValueError):
         noisy_distribution(Circuit(7, ()), ZERO_NOISE)
+
+
+def test_noisy_distribution_rejects_before_allocating():
+    # A 10-qubit density matrix would take 16 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n_qubits must be in 1\.\.6 for density matrices"):
+            noisy_distribution(Circuit(10, (h(9),)), ZERO_NOISE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def oracle_noisy_probabilities(c: Circuit, m: NoiseModel) -> np.ndarray:
+    """Dense reference for noisy_distribution: each gate's oracle unitary,
+    the Kraus depolarizing channel on its qubits, then the Kronecker product
+    of per-qubit confusion matrices."""
+    n = c.n_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for g in c.gates:
+        u = oracle_unitary(Circuit(n, (g,)))
+        p = m.depol_2q if g.kind == "cnot" else m.depol_1q
+        chan = depolarizing_channel(p, len(g.qubits))
+        rho = apply_channel(DensityMatrix(n, u @ rho @ u.conj().T), chan, g.qubits).entries
+    r = m.readout_flip
+    confusion = kron_chain([np.array([[1 - r, r], [r, 1 - r]])] * n)
+    return confusion @ np.real(np.diag(rho))
+
+
+@st.composite
+def noisy_circuits(draw):
+    n = draw(st.integers(1, 6))
+    kinds = sorted(GATE_KINDS) if n > 1 else sorted(k for k in GATE_KINDS if k != "cnot")
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=GATE_KINDS[kind],
+                               max_size=GATE_KINDS[kind], unique=True))
+        gates.append(Gate(kind, tuple(qubits)))
+    return Circuit(n, tuple(gates))
+
+
+RATES = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(1.0))
+
+
+@given(noisy_circuits(), RATES, RATES, RATES)
+@settings(max_examples=80, deadline=None)
+def test_noisy_distribution_matches_kraus_oracle(c, p1, p2, r):
+    model = NoiseModel(depol_1q=p1, depol_2q=p2, readout_flip=r)
+    got = noisy_distribution(c, model).probabilities
+    assert np.allclose(got, oracle_noisy_probabilities(c, model), rtol=0, atol=1e-12)
 
 
 def test_degradation_curve_zero_point():

@@ -1,11 +1,16 @@
-"""Run the scripts under scripts/ in process and check their output shape."""
+"""Run the scripts under scripts/ in process and check their output shape;
+run them as programs on a pipe their reader closes early."""
+import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name: str, *args: str, monkeypatch) -> None:
@@ -42,3 +47,65 @@ def test_calibrate_consistency(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("fitted depol_2q = ")
     assert [line.split(":")[0] for line in lines[1:]] == ["n=3", "n=4", "n=5"]
+
+
+# Arguments that give each script work to do after its first line.
+CLOSED_PIPE_RUNS = {
+    "run_mermin_table.py": (["--shots", "1048576"], " n   LR"),
+    "degradation_scan.py": ([], "n,param,rate,mermin_value"),
+    "calibrate_consistency.py": ([], "fitted depol_2q = "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_PIPE_RUNS))
+def test_script_exits_quietly_when_reader_closes(name):
+    args, header = CLOSED_PIPE_RUNS[name]
+    # Unbuffered, so each line is written as it is printed and the next
+    # print after the reader has gone meets the closed pipe.
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, str(SCRIPTS / name), *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first.startswith(header)
+    assert "Traceback" not in err
+    assert code == 1
+
+
+def golden_case(value: float, label: str = "ok") -> dict:
+    stdout = json.dumps({"value": value, "label": label}) + "\n"
+    return {"code": 0, "files": {"class_0.csv": "outcome,count\n00,3\n"}, "stdout": stdout}
+
+
+@pytest.mark.parametrize("new,code,lines", [
+    ({"a": golden_case(1.5), "b": golden_case(-2.0)}, 0, ["0 of 2 cases changed"]),
+    ({"a": golden_case(1.5 + 3e-14), "b": golden_case(-2.0)}, 0,
+     ["a: largest change 3e-14", "1 of 2 cases changed"]),
+    ({"a": golden_case(1.5), "b": golden_case(-2.0 + 2e-12)}, 1,
+     ["b: largest change 2e-12", "1 of 2 cases changed"]),
+    ({"a": golden_case(1.5, "no"), "b": golden_case(-2.0)}, 1,
+     ["a: non-numeric change", "1 of 2 cases changed"]),
+    ({"a": golden_case(1.5)}, 1, ["b: only in OLD", "0 of 2 cases changed"]),
+])
+def test_golden_drift(new, code, lines, tmp_path, capsys, monkeypatch):
+    old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+    old_path.write_text(json.dumps({"a": golden_case(1.5), "b": golden_case(-2.0)}))
+    new_path.write_text(json.dumps(new))
+    with pytest.raises(SystemExit) as exc:
+        run_script("golden_drift.py", str(old_path), str(new_path), monkeypatch=monkeypatch)
+    assert exc.value.code == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_golden_drift_needs_two_files(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_script("golden_drift.py", "only-one.json", monkeypatch=monkeypatch)
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from merminsim.circuits import Circuit, Gate, cnot, ghz_circuit, h, parse_circuit, s, sdg
+from merminsim.circuits import GATE_KINDS, Circuit, Gate, cnot, ghz_circuit, h, parse_circuit, s, sdg
 from merminsim.statevector import (
+    GATE_1Q,
+    GATE_CONJ,
     RNG_ID,
     CountsTable,
     DensityMatrix,
-    KrausChannel,
     OutcomeDistribution,
     PauliString,
     Statevector,
-    apply_channel,
     apply_gate,
     apply_gate_dm,
     circuit_unitary,
     density_from_state,
+    depolarize_dm,
     dm_diagonal_probabilities,
     dm_pauli_expectation,
     outcome_distribution,
@@ -29,7 +30,15 @@ from merminsim.statevector import (
     unitary_equivalent,
 )
 
-from conftest import FIXTURES, oracle_expectation, oracle_state, oracle_unitary
+from conftest import (
+    FIXTURES,
+    KrausChannel,
+    apply_channel,
+    depolarizing_channel,
+    oracle_expectation,
+    oracle_state,
+    oracle_unitary,
+)
 from test_circuits import circuits
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -240,8 +249,6 @@ def test_density_from_state():
 
 
 def test_fully_depolarizing_fixed_point():
-    from merminsim.noise import depolarizing_channel
-
     chan = depolarizing_channel(1.0, 1)
     state = apply_gate(Statevector.zero(1), Gate("t", (0,)))
     rho = apply_channel(density_from_state(apply_gate(state, h(0))), chan, (0,))
@@ -271,8 +278,6 @@ def test_apply_gate_dm_matches_pure_path():
 
 
 def test_density_matrix_invariants_after_channel():
-    from merminsim.noise import depolarizing_channel
-
     rho = density_from_state(simulate_circuit(ghz_circuit(3)))
     rho = apply_channel(rho, depolarizing_channel(0.3, 2), (0, 2))
     assert np.allclose(rho.entries, rho.entries.conj().T, atol=1e-10)
@@ -291,6 +296,66 @@ def test_kraus_channel_validation():
 def test_density_matrix_size_cap():
     with pytest.raises(ValueError):
         DensityMatrix(7, np.eye(128))
+
+
+def test_density_matrix_zero():
+    assert np.array_equal(DensityMatrix.zero(2).entries, np.diag([1.0, 0, 0, 0]))
+    for n in (0, 7, 30):
+        with pytest.raises(ValueError, match=r"n_qubits must be in 1\.\.6 for density matrices"):
+            DensityMatrix.zero(n)
+
+
+def test_gate_conj_is_entrywise_conjugate():
+    assert GATE_CONJ.keys() == GATE_KINDS.keys()
+    assert GATE_CONJ["cnot"] == "cnot"
+    for kind, mat in GATE_1Q.items():
+        assert np.array_equal(mat.conj(), GATE_1Q[GATE_CONJ[kind]])
+
+
+def random_density_matrix(n: int, seed: int) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = a @ a.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+@given(circuits(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_apply_gate_dm_matches_dense_oracle(c, seed):
+    rho = random_density_matrix(c.n_qubits, seed)
+    for gate in c.gates:
+        before = rho.entries.copy()
+        u = oracle_unitary(Circuit(c.n_qubits, (gate,)))
+        out = apply_gate_dm(rho, gate)
+        assert np.array_equal(rho.entries, before)
+        assert np.allclose(out.entries, u @ before @ u.conj().T, rtol=0, atol=1e-12)
+        rho = out
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_depolarize_dm_matches_kraus_oracle(n, data):
+    k = data.draw(st.integers(1, min(n, 2)))
+    qubits = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    p = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                            st.just(1.0)))
+    rho = random_density_matrix(n, data.draw(st.integers(0, 2**32 - 1)))
+    before = rho.entries.copy()
+    got = depolarize_dm(rho, p, qubits)
+    want = apply_channel(rho, depolarizing_channel(p, k), qubits)
+    assert np.array_equal(rho.entries, before)
+    assert np.allclose(got.entries, want.entries, rtol=0, atol=1e-12)
+
+
+def test_depolarize_dm_validation():
+    rho = DensityMatrix.zero(2)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="probability"):
+            depolarize_dm(rho, p, (0,))
+    with pytest.raises(ValueError, match="duplicate"):
+        depolarize_dm(rho, 0.1, (1, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        depolarize_dm(rho, 0.1, (0, 2))
 
 
 @given(circuits(max_qubits=3))
