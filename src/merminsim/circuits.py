@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 GATE_KINDS = {
     "h": 1,
@@ -112,9 +113,11 @@ class Circuit:
         if any(b not in BASIS_TAGS for b in basis):
             raise ValueError("measure_basis entries must be x, y or z")
         object.__setattr__(self, "measure_basis", basis)
-        for g in self.gates:
-            if any(q >= self.n_qubits for q in g.qubits):
-                raise ValueError(f"gate {g.kind} index out of range for {self.n_qubits} qubits")
+        # The largest index over all gates, found in C; the loop only names
+        # the first gate out of range.
+        if self.gates and max(map(max, map(attrgetter("qubits"), self.gates))) >= self.n_qubits:
+            g = next(g for g in self.gates if max(g.qubits) >= self.n_qubits)
+            raise ValueError(f"gate {g.kind} index out of range for {self.n_qubits} qubits")
 
     def with_gates(self, gates) -> "Circuit":
         return Circuit(self.n_qubits, tuple(gates), self.measure_basis)
@@ -222,9 +225,18 @@ def parse_circuit(text: str) -> Circuit:
     n_qubits = None
     gates: list[Gate] = []
     basis: tuple[str, ...] | None = None
+    # One Gate per distinct (kind, qubits), checked and built once, and the
+    # Gate of each distinct gate line. A line that fails is never stored, and
+    # only a measure line above can make a stored one fail.
+    by_gate: dict[tuple[str, tuple[int, ...]], Gate] = {}
+    by_line: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        gate = by_line.get(line)
+        if gate is not None and basis is None:
+            gates.append(gate)
             continue
         tokens = line.split()
         head = tokens[0].lower()
@@ -263,7 +275,12 @@ def parse_circuit(text: str) -> Circuit:
             idx.append(q)
         if head == "cnot" and idx[0] == idx[1]:
             raise CircuitFormatError("duplicate qubit", lineno)
-        gates.append(Gate(head, tuple(idx)))
+        key = (head, tuple(idx))
+        gate = by_gate.get(key)
+        if gate is None:
+            gate = by_gate[key] = Gate(*key)
+        by_line[line] = gate
+        gates.append(gate)
     if n_qubits is None:
         raise CircuitFormatError("missing qubits header", 1)
     return Circuit(n_qubits, tuple(gates), basis)

@@ -2,7 +2,7 @@
 and a per-qubit readout bit flip at measurement.
 
 The noise acts on an exact density matrix. Each gate is applied with the
-statevector stride kernel to the entries viewed as a 2n-qubit vector (U on
+statevector gate kernel to the entries viewed as a 2n-qubit vector (U on
 the row qubits, conj(U) on the column qubits). Depolarizing with rate p on
 the gate's k qubits is the closed form rho -> (1 - p) rho + p Tr_Q(rho) (x)
 I / 2^k, with no Kraus sum. Readout flips act on the final Z-basis

@@ -1,8 +1,11 @@
 """Dense pure-state and density-matrix simulation of few-qubit circuits.
 
-Statevector kernels use stride-based index pairing on a contiguous amplitude
-array. Index bit (n-1-q) belongs to qubit q, so qubit 0 is the most
-significant bit and the leftmost character of an outcome string.
+One in-place gate kernel serves statevectors, unitaries (columns evolve in
+parallel) and density matrices (the entries read as a 2n-qubit vector): a
+phase gate scales the |1> half of a reshaped view, X and H gather through a
+cached bit-flip permutation, and CNOT swaps cached index pairs. Index bit
+(n-1-q) belongs to qubit q, so qubit 0 is the most significant bit and the
+leftmost character of an outcome string.
 """
 from __future__ import annotations
 
@@ -50,20 +53,27 @@ PAULI = {
 }
 
 
+def _check_qubits(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
+
+
 @dataclass(eq=False)
 class Statevector:
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
+        _check_qubits(self.n_qubits)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude array length must be 2**n_qubits")
 
     @classmethod
     def zero(cls, n_qubits: int) -> "Statevector":
+        """|0...0>; the qubit count is checked before the 2^n array is
+        allocated."""
+        _check_qubits(n_qubits)
         amps = np.zeros(1 << n_qubits, dtype=complex)
         amps[0] = 1.0
         return cls(n_qubits, amps)
@@ -188,11 +198,19 @@ class DensityMatrix:
 
 
 @lru_cache(maxsize=None)
-def _pair_indices(n: int, q: int):
-    pos = n - 1 - q
-    idx = np.arange(1 << n)
-    low = idx[(idx >> pos) & 1 == 0]
-    return low, low | (1 << pos)
+def _flip_perm(n: int, q: int) -> np.ndarray:
+    """Index permutation that flips qubit q's bit."""
+    return np.arange(1 << n) ^ (1 << (n - 1 - q))
+
+
+@lru_cache(maxsize=None)
+def _h_diag(n: int, q: int) -> np.ndarray:
+    """1/sqrt(2) where qubit q's bit is 0 and -1/sqrt(2) where it is 1: the
+    diagonal of H on qubit q, whose off-diagonal part is the flip times
+    1/sqrt(2). Stored complex: a real vector is cast in buffered chunks on
+    every product, which costs more than the product itself."""
+    bit = (np.arange(1 << n) >> (n - 1 - q)) & 1
+    return np.where(bit == 1, -_INV_SQRT2, _INV_SQRT2).astype(complex)
 
 
 @lru_cache(maxsize=None)
@@ -218,20 +236,43 @@ def _diagonal_blocks(n: int, qubits: tuple[int, ...]):
     return tuple(blocks)
 
 
+def _one_half(amps: np.ndarray, q: int) -> np.ndarray:
+    """View of the amplitudes whose qubit-q bit is 1. The row bits lead the
+    C-contiguous array, so this also holds for 2-D column states."""
+    return amps.reshape(1 << q, 2, -1)[:, 1]
+
+
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
-    """Mutates amps; works on a 1-D state or a 2-D array of column states."""
-    if gate.kind == "cnot":
+    """Mutates amps, a C-contiguous 1-D state or 2-D array of column states.
+
+    A phase gate scales the |1> half of its qubit, X permutes by the bit
+    flip, and H adds the flipped amplitudes times 1/sqrt(2) to the amplitudes
+    times its +-1/sqrt(2) diagonal; CNOT swaps the control-set pairs. The
+    numbers equal those of the 2x2 matrix-vector product on each pair of
+    amplitudes: H forms the same products and sums, and the terms the other
+    kinds leave out are products with 0 and 1.
+    """
+    kind = gate.kind
+    if kind == "cnot":
         sel, swapped = _cnot_indices(n, gate.qubits[0], gate.qubits[1])
-        tmp = amps[sel].copy()
+        tmp = amps[sel]
         amps[sel] = amps[swapped]
         amps[swapped] = tmp
         return
-    mat = GATE_1Q[gate.kind]
-    low, high = _pair_indices(n, gate.qubits[0])
-    a0 = amps[low]
-    a1 = amps[high]
-    amps[low] = mat[0, 0] * a0 + mat[0, 1] * a1
-    amps[high] = mat[1, 0] * a0 + mat[1, 1] * a1
+    q = gate.qubits[0]
+    if kind == "h":
+        moved = amps[_flip_perm(n, q)]
+        moved *= _INV_SQRT2
+        diag = _h_diag(n, q)
+        amps *= diag if amps.ndim == 1 else diag[:, None]
+        amps += moved
+    elif kind == "x":
+        amps[...] = amps[_flip_perm(n, q)]
+    else:
+        half = _one_half(amps, q)
+        # Phase first: numpy's complex product rounds differently with the
+        # operands swapped, and this order is the matrix product's.
+        np.multiply(GATE_1Q[kind][1, 1], half, out=half)
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
@@ -269,21 +310,21 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 
 
 def pauli_expectation(state: Statevector, p: PauliString) -> float:
-    """<psi|P|psi>; applies each single-qubit factor with the stride kernel."""
+    """<psi|P|psi>, with each factor applied by the gate kernel's primitives:
+    Z scales the |1> half by -1, X permutes by the bit flip, and
+    Y = i X Z contributes the factor i once the factors are applied."""
     if p.n_qubits != state.n_qubits:
         raise ValueError("dimension mismatch")
     work = state.amplitudes.copy()
     n = state.n_qubits
     for q, op in enumerate(p.ops):
-        if op == "i":
-            continue
-        mat = PAULI[op]
-        low, high = _pair_indices(n, q)
-        a0 = work[low]
-        a1 = work[high]
-        work[low] = mat[0, 0] * a0 + mat[0, 1] * a1
-        work[high] = mat[1, 0] * a0 + mat[1, 1] * a1
-    return float(np.vdot(state.amplitudes, work).real)
+        if op in ("y", "z"):
+            half = _one_half(work, q)
+            half *= -1.0
+        if op in ("x", "y"):
+            work[...] = work[_flip_perm(n, q)]
+    value = 1j ** p.ops.count("y") * np.vdot(state.amplitudes, work)
+    return float(value.real)
 
 
 def outcome_distribution(state: Statevector) -> OutcomeDistribution:
@@ -386,8 +427,8 @@ def dm_diagonal_probabilities(rho: DensityMatrix) -> np.ndarray:
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Full unitary of the gate list; columns evolve in parallel through the
-    stride kernels. Limited to 6 qubits."""
+    """Full unitary of the gate list; its columns evolve in parallel through
+    the gate kernel. Limited to 6 qubits."""
     if c.n_qubits > MAX_DM_QUBITS:
         raise ValueError("too many qubits for a dense unitary")
     u = np.eye(1 << c.n_qubits, dtype=complex)

@@ -74,6 +74,7 @@ def reverse_cnot_pass(c: Circuit, d: DeviceModel) -> Circuit:
     if d.n_qubits != c.n_qubits:
         raise ValueError("device and circuit qubit counts differ")
     out: list[Gate] = []
+    reversed_forms: dict[tuple[int, int], tuple[Gate, ...]] = {}
     for g in c.gates:
         if g.kind != "cnot":
             out.append(g)
@@ -85,8 +86,11 @@ def reverse_cnot_pass(c: Circuit, d: DeviceModel) -> Circuit:
             )
         if tgt == d.cnot_target:
             out.append(g)
-        else:
-            out.extend([h(ctrl), h(tgt), cnot(tgt, ctrl), h(ctrl), h(tgt)])
+            continue
+        form = reversed_forms.get(g.qubits)
+        if form is None:
+            form = reversed_forms[g.qubits] = (h(ctrl), h(tgt), cnot(tgt, ctrl), h(ctrl), h(tgt))
+        out.extend(form)
     return c.with_gates(out)
 
 
@@ -103,10 +107,10 @@ def _inverse_pair(a: Gate, b: Gate) -> bool:
     return (a.kind, b.kind) in _INVERSE_PAIRS
 
 
-def _next_touching(gates: list[Gate], i: int) -> int | None:
-    touched = set(gates[i].qubits)
-    for j in range(i + 1, len(gates)):
-        if touched & set(gates[j].qubits):
+def _next_touching(masks: list[int], i: int) -> int | None:
+    mask = masks[i]
+    for j in range(i + 1, len(masks)):
+        if masks[j] & mask:
             return j
     return None
 
@@ -116,15 +120,17 @@ def cancel_adjacent_pass(c: Circuit) -> Circuit:
     gates on disjoint qubits. Runs to a fixpoint; deterministic left-to-right
     scan order."""
     gates = list(c.gates)
+    # Qubit bitmask of each gate (one or two qubits), kept in step with gates.
+    masks = [(1 << g.qubits[0]) | (1 << g.qubits[-1]) for g in gates]
     changed = True
     while changed:
         changed = False
         i = 0
         while i < len(gates):
-            j = _next_touching(gates, i)
+            j = _next_touching(masks, i)
             if j is not None and _inverse_pair(gates[i], gates[j]):
-                del gates[j]
-                del gates[i]
+                del gates[j], masks[j]
+                del gates[i], masks[i]
                 changed = True
                 i = max(i - 1, 0)
             else:
@@ -135,16 +141,19 @@ def cancel_adjacent_pass(c: Circuit) -> Circuit:
 def _movable_phase_positions(c: Circuit) -> list[int]:
     """Indices of S/T-family gates at points where the running state from
     |0...0> is supported on the all-zeros and all-ones indices only. A
-    diagonal phase gate there acts identically on every qubit."""
+    diagonal phase gate there acts identically on every qubit. The scan
+    stops at the last phase gate."""
+    phases = [i for i, g in enumerate(c.gates) if g.kind in PHASE_KINDS]
+    if not phases:
+        return []
     n = c.n_qubits
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     last = (1 << n) - 1
     out = []
-    for i, g in enumerate(c.gates):
+    for i, g in enumerate(c.gates[: phases[-1] + 1]):
         if g.kind in PHASE_KINDS:
-            mass = np.abs(amps) ** 2
-            off = float(mass.sum() - mass[0] - mass[last])
+            off = float(np.vdot(amps, amps).real - abs(amps[0]) ** 2 - abs(amps[last]) ** 2)
             if off <= 1e-9:
                 out.append(i)
         _apply_gate_inplace(amps, g, n)
@@ -161,10 +170,10 @@ def place_phase_pass(c: Circuit, d: DeviceModel) -> Circuit:
     if not positions:
         return c
     host = d.robustness_rank[0]
+    on_host = {kind: Gate(kind, (host,)) for kind in PHASE_KINDS}
     gates = list(c.gates)
     for i in positions:
-        if gates[i].qubits != (host,):
-            gates[i] = Gate(gates[i].kind, (host,))
+        gates[i] = on_host[gates[i].kind]
     return c.with_gates(gates)
 
 

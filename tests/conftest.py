@@ -4,7 +4,9 @@ The oracle builds every unitary from literal 2x2 matrices and explicit
 Kronecker products, with no code shared with the package kernels, so
 agreement between the two is meaningful. Noise channels are given by Kraus
 operators and applied as sums of tensor contractions, the reference for the
-package's closed-form depolarizing.
+package's closed-form depolarizing. The gate kernel and two transpiler
+passes are kept here in their first, plainer form as references for the
+package's faster ones.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from merminsim.statevector import DensityMatrix
+from merminsim.circuits import PHASE_KINDS
+from merminsim.statevector import GATE_1Q, DensityMatrix, _apply_gate_inplace
 from merminsim.transpile import DeviceModel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -185,6 +188,89 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel, qubits) -> DensityM
         term = _contract(tens, op, list(qubits))
         acc += _contract(term, op.conj(), [n + q for q in qubits])
     return DensityMatrix(n, acc.reshape(rho.entries.shape))
+
+
+def reference_apply_gate(amps: np.ndarray, gate, n: int) -> None:
+    """The package's gate kernel in its first form, in place: every pair of
+    amplitudes whose indices differ in the gate qubit's bit gets the 2x2
+    matrix-vector product with the package's own matrix, and CNOT swaps the
+    pairs whose control bit is set. The package kernel must give the same
+    numbers."""
+    idx = np.arange(1 << n)
+    if gate.kind == "cnot":
+        pc, pt = n - 1 - gate.qubits[0], n - 1 - gate.qubits[1]
+        sel = idx[((idx >> pc) & 1 == 1) & ((idx >> pt) & 1 == 0)]
+        swapped = sel | (1 << pt)
+        amps[sel], amps[swapped] = amps[swapped].copy(), amps[sel].copy()
+        return
+    pos = n - 1 - gate.qubits[0]
+    low = idx[(idx >> pos) & 1 == 0]
+    high = low | (1 << pos)
+    mat = GATE_1Q[gate.kind]
+    a0, a1 = amps[low], amps[high]
+    amps[low] = mat[0, 0] * a0 + mat[0, 1] * a1
+    amps[high] = mat[1, 0] * a0 + mat[1, 1] * a1
+
+
+def reference_movable_phase_positions(circuit) -> list[int]:
+    """The transpiler's phase scan in its first form: it runs the whole gate
+    list and sums the off-support mass from |amps|^2. It evolves the state
+    with the package kernel, which test_statevector checks against the dense
+    oracle above."""
+    n = circuit.n_qubits
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    last = (1 << n) - 1
+    out = []
+    for i, g in enumerate(circuit.gates):
+        if g.kind in PHASE_KINDS:
+            mass = np.abs(amps) ** 2
+            off = float(mass.sum() - mass[0] - mass[last])
+            if off <= 1e-9:
+                out.append(i)
+        _apply_gate_inplace(amps, g, n)
+    return out
+
+
+_REFERENCE_INVERSE_PAIRS = frozenset(
+    {("h", "h"), ("x", "x"), ("s", "sdg"), ("sdg", "s"), ("t", "tdg"), ("tdg", "t")}
+)
+
+
+def _reference_inverse_pair(a, b) -> bool:
+    if a.qubits != b.qubits:
+        return False
+    if a.kind == "cnot":
+        return b.kind == "cnot"
+    return (a.kind, b.kind) in _REFERENCE_INVERSE_PAIRS
+
+
+def _reference_next_touching(gates, i: int):
+    touched = set(gates[i].qubits)
+    for j in range(i + 1, len(gates)):
+        if touched & set(gates[j].qubits):
+            return j
+    return None
+
+
+def reference_cancel_adjacent_pass(circuit):
+    """The peephole pass in its first form, comparing qubit sets: the same
+    left-to-right scan, step back after a removal, and fixpoint loop."""
+    gates = list(circuit.gates)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(gates):
+            j = _reference_next_touching(gates, i)
+            if j is not None and _reference_inverse_pair(gates[i], gates[j]):
+                del gates[j]
+                del gates[i]
+                changed = True
+                i = max(i - 1, 0)
+            else:
+                i += 1
+    return circuit.with_gates(gates)
 
 
 @pytest.fixture(scope="session")

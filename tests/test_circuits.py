@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from merminsim.circuits import (
     Circuit,
@@ -179,6 +179,8 @@ def test_parse_comments_case_and_blank_lines():
         ("qubits 2\nh 0 1\n", "bad index", 2),
         ("qubits 2\nh 5\n", "bad index", 2),
         ("qubits 2\ncnot 1 1\n", "duplicate qubit", 2),
+        # The first h 0 is stored; its repeat after measure must still fail.
+        ("qubits 2\nh 0\nmeasure z z\nh 0\n", "gate after measure", 4),
     ],
 )
 def test_parse_errors(text, what, line):
@@ -212,9 +214,10 @@ def test_serialize_emits_measure_line():
     assert out == "qubits 2\nh 0\nmeasure z z\n"
 
 
+# Indices are taken mod n, so circuits of up to 6 qubits can touch every qubit.
 _GATE_STRATEGY = st.one_of(
-    st.tuples(st.sampled_from(["h", "x", "s", "sdg", "t", "tdg"]), st.integers(0, 3)),
-    st.tuples(st.just("cnot"), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["h", "x", "s", "sdg", "t", "tdg"]), st.integers(0, 5)),
+    st.tuples(st.just("cnot"), st.integers(0, 5), st.integers(0, 5)),
 )
 
 
@@ -283,3 +286,43 @@ def test_ghz_state_matches_oracle():
     assert abs(vec[0] - amp) < 1e-12
     assert abs(vec[7] - 1j * amp) < 1e-12
     assert np.allclose(vec, simulate_circuit(c).amplitudes, atol=1e-12)
+
+
+_FUZZ_TOKENS = ["qubits", "QUBITS", "measure", "h", "H", "x", "s", "sdg", "t", "tdg", "cnot",
+                "CNOT", "cz", "0", "1", "2", "3", "01", "10", "11", "-1", "y", "z", "q", "#", "#c"]
+
+# Gate lines that parse under "qubits 3", some written twice in other forms.
+_FUZZ_GATE_LINES = ["h 0", "H 0", "  h   0  # c", "x 2", "s 1", "sdg 1", "t 0", "tdg 2",
+                    "cnot 0 1", "CNOT 0 1", "cnot 1 0", "cnot 2 0", "measure z x y"]
+
+_FUZZ_LINES = st.one_of(
+    st.sampled_from(_FUZZ_GATE_LINES),
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=4).map(" ".join),
+    st.text(max_size=8),
+)
+
+_FUZZ_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.tuples(st.sampled_from(["", "qubits 1\n", "qubits 3\n", "qubits 10\n"]),
+              st.lists(_FUZZ_LINES, max_size=12).map("\n".join)).map("".join),
+    st.lists(st.sampled_from(_FUZZ_GATE_LINES + ["", "# c"]), max_size=12).map(
+        lambda lines: "\n".join(["qubits 3", *lines])),
+)
+
+
+@given(_FUZZ_TEXTS)
+@settings(max_examples=400)
+def test_parse_circuit_fuzz(text):
+    """Any text parses to a circuit whose serialized form is stable, or fails
+    with a CircuitFormatError on one of its lines; anything else fails."""
+    try:
+        c = parse_circuit(text)
+    except CircuitFormatError as err:
+        # Text with no header reports line 1, also when it has no lines.
+        assert 1 <= err.line <= max(1, len(text.splitlines()))
+        return
+    once = serialize_circuit(c)
+    assert serialize_circuit(parse_circuit(once)) == once
+    assert all(g == Gate(g.kind, g.qubits) for g in c.gates)
+    # One Gate object per distinct (kind, qubits).
+    assert len({id(g) for g in c.gates}) == len({(g.kind, g.qubits) for g in c.gates})

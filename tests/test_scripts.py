@@ -109,3 +109,74 @@ def test_golden_drift_needs_two_files(capsys, monkeypatch):
         run_script("golden_drift.py", "only-one.json", monkeypatch=monkeypatch)
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def bench_record(tmp_path, side: str, seed: int, ops: float, p50: float, *, digests=(),
+                 failed: int = 0, trace: int = 0, revision: str = "abc") -> str:
+    """A perfbench record with only the fields bench_summary.py reads."""
+    metrics = {"setup_s": 0.3, "ops_per_s": ops, "op_ms_p50": p50, "op_ms_p90": 2 * p50,
+               "peak_rss_mb": 40.0}
+    rec = {
+        "workload": "sampled-shots", "trace": trace, "attempted": 100, "failed": failed,
+        "environment": {"git_revision": revision, "python": "3.x", "seed": seed},
+        "metrics": {k: {"value": v, "unit": "?"} for k, v in metrics.items()},
+        "digests": [list(d) for d in digests],
+    }
+    path = tmp_path / f"{side}-{seed}-{revision}-{trace}.json"
+    path.write_text(json.dumps(rec))
+    return str(path)
+
+
+def test_bench_summary(tmp_path, capsys, monkeypatch):
+    parent = [bench_record(tmp_path, "p", 1, 10.0, 5.0, digests=[(0, "json", 1, "aa")]),
+              bench_record(tmp_path, "p", 2, 20.0, 4.0, digests=[(0, "json", 1, "bb")]),
+              bench_record(tmp_path, "p", 3, 30.0, 3.0)]
+    change = [bench_record(tmp_path, "c", 1, 15.0, 5.0, digests=[(0, "json", 1, "aa")],
+                           revision="def"),
+              bench_record(tmp_path, "c", 2, 10.0, 2.0, digests=[(0, "json", 1, "cc")],
+                           failed=2, revision="def")]
+    with pytest.raises(SystemExit) as exc:
+        run_script("bench_summary.py", *parent, "--", *change, monkeypatch=monkeypatch)
+    assert exc.value.code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parent"] == {"records": 3, "attempted": 300, "failed": 0,
+                             "environment": {"git_revision": "abc", "python": "3.x"}}
+    assert doc["change"]["failed"] == 2
+    assert doc["change"]["environment"]["git_revision"] == "def"
+    entry = doc["workloads"]["sampled-shots"]
+    assert entry["paired_seeds"] == [1, 2]
+    ops = entry["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"median": 20.0, "q1": 15.0, "q3": 25.0, "runs": 3}
+    assert ops["change"] == {"median": 12.5, "q1": 11.25, "q3": 13.75, "runs": 2}
+    # Higher is better: seed 1 wins, seed 2 loses.
+    assert (ops["change_wins"], ops["pairs"]) == (1, 2)
+    # Lower is better: seed 1 ties, seed 2 wins.
+    assert entry["metrics"]["op_ms_p50"]["change_wins"] == 1
+    assert entry["metrics"]["setup_s"]["change_wins"] == 0
+    assert entry["digests_match"] == {"1": True, "2": False}
+
+
+@pytest.mark.parametrize("shape,message", [
+    ("no-cut", "missing --"),
+    ("empty-change", "no CHANGE records"),
+    ("traced", "traced record"),
+    ("mixed-env", "environment differs"),
+    ("repeat", "second PARENT record"),
+])
+def test_bench_summary_usage_errors(shape, message, tmp_path, capsys, monkeypatch):
+    one = bench_record(tmp_path, "p", 1, 10.0, 5.0)
+    other = bench_record(tmp_path, "c", 1, 10.0, 5.0)
+    args = {
+        "no-cut": [one, other],
+        "empty-change": [one, "--"],
+        "traced": [bench_record(tmp_path, "p", 1, 10.0, 5.0, trace=1), "--", other],
+        "mixed-env": [one, bench_record(tmp_path, "p", 2, 10.0, 5.0, revision="zzz"), "--",
+                      other],
+        "repeat": [one, bench_record(tmp_path, "q", 1, 10.0, 5.0), "--", other],
+    }[shape]
+    with pytest.raises(SystemExit) as exc:
+        run_script("bench_summary.py", *args, monkeypatch=monkeypatch)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from merminsim.statevector import (
     OutcomeDistribution,
     PauliString,
     Statevector,
+    _apply_gate_inplace,
     apply_gate,
     apply_gate_dm,
     circuit_unitary,
@@ -32,12 +34,16 @@ from merminsim.statevector import (
 
 from conftest import (
     FIXTURES,
+    ORACLE_1Q,
     KrausChannel,
     apply_channel,
     depolarizing_channel,
+    embed_1q,
+    oracle_cnot,
     oracle_expectation,
     oracle_state,
     oracle_unitary,
+    reference_apply_gate,
 )
 from test_circuits import circuits
 
@@ -65,6 +71,50 @@ def test_cnot_entangles():
     state = apply_gate(Statevector.zero(2), h(0))
     out = apply_gate(state, cnot(0, 1))
     assert np.allclose(out.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2])
+
+
+def test_statevector_zero_checks_before_allocating():
+    assert np.array_equal(Statevector.zero(2).amplitudes, [1, 0, 0, 0])
+    # A 20-qubit state would take 16 MB.
+    tracemalloc.start()
+    try:
+        for n in (20, 11, 0, -1):
+            with pytest.raises(ValueError, match=r"n_qubits must be in 1\.\.10"):
+                Statevector.zero(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@given(st.sampled_from(sorted(GATE_KINDS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gate_kernel_matches_dense_oracle(kind, data):
+    """Each gate kind on a 1-D state of 1-10 qubits, or on a 2-D array of
+    column states of up to 6 qubits, against the dense Kronecker oracle, and
+    number for number against the kernel's first form."""
+    arity = GATE_KINDS[kind]
+    columns = data.draw(st.sampled_from([None, 1, 3, 8]))
+    n = data.draw(st.integers(arity, 10 if columns is None else 6))
+    qubits = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity,
+                                      unique=True)))
+    if kind == "cnot":
+        u = oracle_cnot(qubits[0], qubits[1], n)
+    else:
+        u = embed_1q(ORACLE_1Q[kind], qubits[0], n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (1 << n,) if columns is None else (1 << n, columns)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = u @ amps
+    first_form = amps.copy()
+    reference_apply_gate(first_form, Gate(kind, qubits), n)
+    _apply_gate_inplace(amps, Gate(kind, qubits), n)
+    assert np.allclose(amps, want, rtol=0, atol=1e-12)
+    # numpy rounds a complex product of one-element arrays by another loop,
+    # so on a one-qubit state T and Tdg can differ from the first form in
+    # the last bit.
+    if amps.size > 2:
+        assert np.array_equal(amps, first_form)
 
 
 def test_apply_gate_range_check():
@@ -319,8 +369,8 @@ def random_density_matrix(n: int, seed: int) -> DensityMatrix:
     return DensityMatrix(n, rho / np.trace(rho).real)
 
 
-@given(circuits(), st.integers(0, 2**32 - 1))
-@settings(max_examples=60)
+@given(circuits(max_qubits=6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
 def test_apply_gate_dm_matches_dense_oracle(c, seed):
     rho = random_density_matrix(c.n_qubits, seed)
     for gate in c.gates:
@@ -358,8 +408,8 @@ def test_depolarize_dm_validation():
         depolarize_dm(rho, 0.1, (0, 2))
 
 
-@given(circuits(max_qubits=3))
-@settings(max_examples=40)
+@given(circuits(max_qubits=6))
+@settings(max_examples=60, deadline=None)
 def test_circuit_unitary_matches_oracle(c):
     assert np.allclose(circuit_unitary(c), oracle_unitary(c), atol=1e-12)
 

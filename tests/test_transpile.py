@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from merminsim.circuits import (
     Circuit,
+    Gate,
     MeasurementSetting,
     cnot,
     ghz_circuit,
@@ -26,6 +27,7 @@ from merminsim.transpile import (
     DeviceModel,
     StarTopologyError,
     TranspileReport,
+    _movable_phase_positions,
     cancel_adjacent_pass,
     constraint_violations,
     default_device,
@@ -39,6 +41,8 @@ from conftest import (
     FIXTURES,
     oracle_cnot,
     oracle_unitary,
+    reference_cancel_adjacent_pass,
+    reference_movable_phase_positions,
 )
 from test_circuits import circuits
 
@@ -316,3 +320,67 @@ def test_transpile_distribution_matches_oracle():
     want = np.abs(dense @ start) ** 2
     got = outcome_distribution(simulate_circuit(out)).probabilities
     assert np.allclose(got, want, atol=1e-12)
+
+
+_PHASES = ("s", "sdg", "t", "tdg")
+_INVERSE = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
+
+
+@st.composite
+def star_circuits(draw):
+    """A star-legal circuit of 3-10 qubits and a device with a random hub
+    and ranking, built from the padding shapes of the transpile-long
+    workload: inverse pairs, adjacent or split by a gate on other qubits;
+    CNOT pairs in either direction, the wrong one cancelling only after
+    reversal; GHZ fan-outs from the hub, every CNOT wrong-direction; and
+    runs of phase gates before and after an H."""
+    n = draw(st.integers(3, 10))
+    hub = draw(st.integers(0, n - 1))
+    others = [q for q in range(n) if q != hub]
+    qubit = st.integers(0, n - 1)
+
+    def phase_run():
+        kinds = draw(st.lists(st.sampled_from(_PHASES), max_size=4))
+        return [Gate(kind, (draw(qubit),)) for kind in kinds]
+
+    gates = []
+    shapes = draw(st.lists(st.sampled_from(["pair", "split", "cnots", "ghz", "phases"]),
+                           max_size=12))
+    for shape in shapes:
+        if shape in ("pair", "split"):
+            kind, q = draw(st.sampled_from(sorted(_INVERSE))), draw(qubit)
+            first, second = Gate(kind, (q,)), Gate(_INVERSE[kind], (q,))
+            if shape == "pair":
+                gates += [first, second]
+            else:
+                other = draw(st.sampled_from([p for p in range(n) if p != q]))
+                between = Gate(draw(st.sampled_from(["h", "x"])), (other,))
+                gates += [first, between, second, between]
+        elif shape == "cnots":
+            q = draw(st.sampled_from(others))
+            g = draw(st.sampled_from([cnot(hub, q), cnot(q, hub)]))
+            gates += [g, g]
+        elif shape == "ghz":
+            gates += [h(hub)] + [cnot(hub, q) for q in others]
+        else:
+            gates += phase_run() + [h(draw(qubit))] + phase_run()
+    rank = tuple(draw(st.permutations(range(n))))
+    return Circuit(n, tuple(gates)), DeviceModel(n, cnot_target=hub, robustness_rank=rank)
+
+
+@given(star_circuits())
+@settings(max_examples=150, deadline=None)
+def test_passes_match_reference_implementations(case):
+    """The stop-early phase scan and the bitmask peephole give the same
+    positions and gate lists as their first forms in conftest."""
+    c, device = case
+    reversed_ = reverse_cnot_pass(c, device)
+    positions = reference_movable_phase_positions(reversed_)
+    assert _movable_phase_positions(reversed_) == positions
+    placed = place_phase_pass(reversed_, device)
+    want = list(reversed_.gates)
+    for i in positions:
+        want[i] = Gate(want[i].kind, (device.robustness_rank[0],))
+    assert list(placed.gates) == want
+    for circuit in (c, reversed_, placed):
+        assert cancel_adjacent_pass(circuit).gates == reference_cancel_adjacent_pass(circuit).gates
