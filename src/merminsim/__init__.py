@@ -17,12 +17,10 @@ from .experiment import (
     MerminEstimate,
     build_plan,
     combine,
-    exact_value,
     full_term_run,
     parity_expectation,
     parity_expectation_probs,
     run_plan,
-    stderr_probability,
 )
 from .mermin import (
     BoundsRecord,
@@ -47,14 +45,10 @@ from .statevector import (
     CountsTable,
     DensityMatrix,
     OutcomeDistribution,
-    PauliString,
     Statevector,
     apply_gate,
-    density_from_state,
     depolarize_dm,
-    dm_pauli_expectation,
     outcome_distribution,
-    pauli_expectation,
     sample_counts,
     simulate_circuit,
     unitary_equivalent,

@@ -86,7 +86,10 @@ def _cmd_transpile(args) -> int:
         target = min(2, circ.n_qubits - 1)
     rank = None
     if args.rank is not None:
-        rank = tuple(int(tok) for tok in args.rank.split(","))
+        try:
+            rank = tuple(int(tok) for tok in args.rank.split(","))
+        except ValueError:
+            raise ValueError(f"--rank must list qubit indices, got {args.rank!r}") from None
     device = DeviceModel(circ.n_qubits, cnot_target=target, robustness_rank=rank)
     lowered, report = transpile(circ, device)
     rendered = serialize_circuit(lowered)
@@ -130,7 +133,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_degrade(args) -> int:
-    points = [float(tok) for tok in args.values.split(",") if tok.strip()]
+    try:
+        points = [float(tok) for tok in args.values.split(",") if tok.strip()]
+    except ValueError:
+        points = []
+    if not points:
+        raise ValueError(f"--values must list one or more numbers, got {args.values!r}")
     grid = [NoiseModel(**{args.param: p}) for p in points]
     curve = degradation_curve(args.n, grid)
     print(f"{args.param},mermin_value")

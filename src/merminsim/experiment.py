@@ -171,15 +171,6 @@ def parity_expectation(t: CountsTable) -> tuple[float, float]:
     return e, math.sqrt(var / t.shots)
 
 
-def stderr_probability(p: float, shots: int) -> float:
-    """Multinomial standard error of one probability, sqrt(p(1-p)/N)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return math.sqrt(p * (1.0 - p) / shots)
-
-
 def combine(
     per_class,
     classes,
@@ -280,16 +271,6 @@ def full_term_run(plan: ExperimentPlan, mode: str = "exact") -> MerminEstimate:
         plan.noise, reduction="full-terms",
     )
     return run_plan(terms, mode)
-
-
-def exact_value(
-    n: int,
-    noise: NoiseModel = ZERO_NOISE,
-    prep_phase="max",
-    device: DeviceModel | None = None,
-) -> float:
-    plan = build_plan(n, prep_phase=prep_phase, device=device, noise=noise)
-    return run_plan(plan, mode="exact").value
 
 
 def estimate_to_json(est: MerminEstimate) -> dict:

@@ -7,9 +7,7 @@ MSB-first, party 0 leftmost) means party i uses its primed observable.
 """
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevector import PAULI, MAX_DM_QUBITS
+from .statevector import MAX_DM_QUBITS
 
 MAX_LR_PARTIES = 8
+
+# Observables substituted for the unprimed (X) and primed (Y) settings.
+SETTING_OBSERVABLES = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+)
 
 # Signs per prime count for the three hard-coded polynomials, from the forms
 # with all-unit coefficients: n=3 has the four terms with 1 or 3 primes, n=4
@@ -121,15 +125,6 @@ def recursive_polynomial(n: int) -> MerminPolynomial:
     return MerminPolynomial(n, out)
 
 
-def equal_up_to_global_sign(a: MerminPolynomial, b: MerminPolynomial) -> bool:
-    if a.n_parties != b.n_parties:
-        return False
-    if a.terms == b.terms:
-        return True
-    negated = _sorted_terms(tuple((-c, m) for c, m in a.terms))
-    return negated == b.terms
-
-
 def lr_bound(p: MerminPolynomial) -> int:
     """Maximum over all deterministic +-1 assignments to every setting,
     by exhaustive enumeration of 2^(2n) assignments. Exact integers."""
@@ -148,62 +143,27 @@ def lr_bound(p: MerminPolynomial) -> int:
     return int(total.max())
 
 
-def mermin_operator(p: MerminPolynomial, settings=None) -> np.ndarray:
-    """Hermitian operator obtained by substituting observables for settings.
-
-    settings is a per-party sequence of (unprimed, primed) 2x2 matrices;
-    default is (X, Y) for every party. MSB-first kron order.
-    """
+def mermin_operator(p: MerminPolynomial) -> np.ndarray:
+    """Hermitian operator obtained by substituting X for every unprimed and
+    Y for every primed setting. MSB-first kron order."""
     n = p.n_parties
     if n > MAX_DM_QUBITS:
         raise ValueError("dimension overflow")
-    if settings is None:
-        settings = [(PAULI["x"], PAULI["y"])] * n
-    if len(settings) != n:
-        raise ValueError("need one settings pair per party")
     dim = 1 << n
     total = np.zeros((dim, dim), dtype=complex)
     for coeff, mask in p.terms:
         factor = np.array([[1.0 + 0j]])
         for party in range(n):
             primed = (mask >> (n - 1 - party)) & 1
-            factor = np.kron(factor, settings[party][primed])
+            factor = np.kron(factor, SETTING_OBSERVABLES[primed])
         total += coeff * factor
     return total
 
 
-def qm_bound(p: MerminPolynomial, settings=None, tol: float = 1e-10,
-             max_iter: int = 20000) -> float:
-    """Largest eigenvalue magnitude of the Mermin operator, via power
-    iteration on its square (covers both signs of violation). Issues a
-    RuntimeWarning, and returns the last estimate, when max_iter iterations
-    end without the Rayleigh quotient settling to within tol."""
-    op = mermin_operator(p, settings)
-    squared = op @ op
-    dim = squared.shape[0]
-    rng = np.random.default_rng(7)
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    vec /= np.linalg.norm(vec)
-    prev, change = -1.0, math.inf
-    for _ in range(max_iter):
-        nxt = squared @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return 0.0
-        rayleigh = float(np.vdot(vec, nxt).real)
-        vec = nxt / norm
-        change = abs(rayleigh - prev)
-        prev = rayleigh
-        if change <= tol * max(1.0, abs(rayleigh)):
-            break
-    else:
-        warnings.warn(
-            f"qm_bound: power iteration did not converge in {max_iter} iterations "
-            f"(last Rayleigh-quotient change {change:.3g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return math.sqrt(max(prev, 0.0))
+def qm_bound(p: MerminPolynomial) -> float:
+    """Largest eigenvalue magnitude of the Mermin operator (covers both signs
+    of violation)."""
+    return float(np.abs(np.linalg.eigvalsh(mermin_operator(p))).max())
 
 
 def symmetry_classes(p: MerminPolynomial) -> list[SymmetryClass]:
@@ -228,33 +188,7 @@ def symmetry_classes(p: MerminPolynomial) -> list[SymmetryClass]:
     return out
 
 
-def operator_from_classes(p: MerminPolynomial, settings=None) -> np.ndarray:
-    """Assemble the operator class by class; must equal the term-by-term
-    assembly exactly."""
-    n = p.n_parties
-    classes = symmetry_classes(p)
-    terms = []
-    for cls in classes:
-        size = math.comb(n, cls.prime_count)
-        coeff = cls.signed_weight // size
-        terms.extend(
-            (coeff, mask)
-            for mask in range(1 << n)
-            if mask.bit_count() == cls.prime_count
-        )
-    return mermin_operator(MerminPolynomial(n, tuple(terms)), settings)
-
-
 @lru_cache(maxsize=None)
 def bounds_for(n: int) -> BoundsRecord:
     poly = canonical_polynomial(n) if n in CANONICAL_SIGNS else recursive_polynomial(n)
     return BoundsRecord(float(lr_bound(poly)), qm_bound(poly))
-
-
-def polynomial_to_json(p: MerminPolynomial) -> str:
-    return json.dumps({"n": p.n_parties, "terms": [[c, m] for c, m in p.terms]})
-
-
-def polynomial_from_json(text: str) -> MerminPolynomial:
-    data = json.loads(text)
-    return MerminPolynomial(data["n"], tuple((c, m) for c, m in data["terms"]))

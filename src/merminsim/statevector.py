@@ -45,14 +45,6 @@ GATE_1Q = {
 # matrix; apply_gate_dm applies it to the column index of a density matrix.
 GATE_CONJ = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
 
-PAULI = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def _check_qubits(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
@@ -89,32 +81,6 @@ class Statevector:
         if other.n_qubits != self.n_qubits:
             raise ValueError("qubit counts differ")
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
-
-@dataclass(frozen=True)
-class PauliString:
-    n_qubits: int
-    ops: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(op.lower() for op in self.ops))
-        if len(self.ops) != self.n_qubits:
-            raise ValueError("ops length must equal n_qubits")
-        if any(op not in PAULI for op in self.ops):
-            raise ValueError("ops must be i, x, y or z")
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        return cls(len(label), tuple(label.lower()))
-
-    @classmethod
-    def from_prime_mask(cls, n: int, prime_mask: int) -> "PauliString":
-        """X for unprimed parties, Y for primed ones (MSB-first mask)."""
-        ops = tuple("y" if (prime_mask >> (n - 1 - q)) & 1 else "x" for q in range(n))
-        return cls(n, ops)
-
-    def label(self) -> str:
-        return "".join(self.ops).upper()
 
 
 @dataclass(eq=False)
@@ -298,35 +264,6 @@ def simulate_circuit(c: Circuit, initial: Statevector | None = None) -> Statevec
     return Statevector(c.n_qubits, amps)
 
 
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of the Pauli string; MSB-first, so qubit 0 is the first
-    kron factor. Limited to 6 qubits."""
-    if p.n_qubits > MAX_DM_QUBITS:
-        raise ValueError("too many qubits for a dense Pauli matrix")
-    mat = np.array([[1.0 + 0j]])
-    for op in p.ops:
-        mat = np.kron(mat, PAULI[op])
-    return mat
-
-
-def pauli_expectation(state: Statevector, p: PauliString) -> float:
-    """<psi|P|psi>, with each factor applied by the gate kernel's primitives:
-    Z scales the |1> half by -1, X permutes by the bit flip, and
-    Y = i X Z contributes the factor i once the factors are applied."""
-    if p.n_qubits != state.n_qubits:
-        raise ValueError("dimension mismatch")
-    work = state.amplitudes.copy()
-    n = state.n_qubits
-    for q, op in enumerate(p.ops):
-        if op in ("y", "z"):
-            half = _one_half(work, q)
-            half *= -1.0
-        if op in ("x", "y"):
-            work[...] = work[_flip_perm(n, q)]
-    value = 1j ** p.ops.count("y") * np.vdot(state.amplitudes, work)
-    return float(value.real)
-
-
 def outcome_distribution(state: Statevector) -> OutcomeDistribution:
     probs = np.abs(state.amplitudes) ** 2
     return OutcomeDistribution(state.n_qubits, probs)
@@ -374,11 +311,6 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTab
     return CountsTable(dist.n_qubits, raw, shots, seed)
 
 
-def density_from_state(state: Statevector) -> DensityMatrix:
-    amps = state.amplitudes
-    return DensityMatrix(state.n_qubits, np.outer(amps, amps.conj()))
-
-
 def apply_gate_dm(rho: DensityMatrix, gate: Gate) -> DensityMatrix:
     """rho -> U rho U^dag. Row-major, the entries are a 2n-qubit vector whose
     qubit q is row qubit q and whose qubit n + q is column qubit q, so the
@@ -414,12 +346,6 @@ def depolarize_dm(rho: DensityMatrix, p: float, qubits) -> DensityMatrix:
     for idx in blocks:
         tens[idx] += traced
     return DensityMatrix(n, out)
-
-
-def dm_pauli_expectation(rho: DensityMatrix, p: PauliString) -> float:
-    if p.n_qubits != rho.n_qubits:
-        raise ValueError("dimension mismatch")
-    return float(np.trace(rho.entries @ pauli_matrix(p)).real)
 
 
 def dm_diagonal_probabilities(rho: DensityMatrix) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -33,7 +34,8 @@ def test_bounds_json(capsys):
     doc = json.loads(out)
     assert doc["n"] == 4
     assert doc["lr_bound"] == 4
-    assert doc["qm_bound"] == pytest.approx(11.313708498984761)
+    # eigvalsh gives the correctly rounded 8 * sqrt(2), bit for bit.
+    assert doc["qm_bound"] == 8 * math.sqrt(2)
 
 
 def test_bounds_rejects_other_n(capsys):
@@ -84,6 +86,16 @@ def test_transpile_rank_flag(capsys):
     assert code == 0
     assert "s 1" in out
     assert "s 0" not in out
+
+
+@pytest.mark.parametrize("rank", ["a,b", "0,,1", ""])
+def test_transpile_bad_rank_names_the_option(capsys, rank):
+    path = FIXTURES / "valid" / "ghz3_imag.qc"
+    code, out, err = run_cli(capsys, "transpile", str(path), "--rank", rank)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --rank ")
+    assert len(err.splitlines()) == 1
 
 
 def test_transpile_star_violation_exits_2(capsys, tmp_path):
@@ -191,6 +203,15 @@ def test_degrade_other_param(capsys):
     code, out, _ = run_cli(capsys, "degrade", "3", "--param", "readout_flip", "--values", "0,0.1")
     assert code == 0
     assert out.splitlines()[0] == "readout_flip,mermin_value"
+
+
+@pytest.mark.parametrize("values", ["", ",", " , ", "0,x"])
+def test_degrade_rejects_bad_values(capsys, values):
+    code, out, err = run_cli(capsys, "degrade", "3", "--values", values)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --values ")
+    assert len(err.splitlines()) == 1
 
 
 def test_parse_normalizes(capsys, tmp_path):

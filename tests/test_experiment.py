@@ -16,14 +16,12 @@ from merminsim.experiment import (
     counts_to_csv,
     estimate_table,
     estimate_to_json,
-    exact_value,
     full_term_run,
     parity_expectation,
     parity_expectation_probs,
     resolve_prep_phase,
     run_plan,
     sampled_class_counts,
-    stderr_probability,
 )
 from merminsim.mermin import bounds_for, canonical_polynomial, symmetry_classes
 from merminsim.noise import NoiseModel, ZERO_NOISE
@@ -71,13 +69,6 @@ def test_parity_expectation_counts():
 def test_parity_expectation_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         parity_expectation(CountsTable(1, np.array([0, 0]), shots=0, seed=0))
-
-
-def test_stderr_probability():
-    assert stderr_probability(0.5, 8192) == pytest.approx(0.005524, abs=1e-6)
-    assert stderr_probability(0.0, 100) == 0.0
-    assert stderr_probability(1.0, 100) == 0.0
-    assert stderr_probability(0.3, 8192) < 0.01
 
 
 def test_resolve_prep_phase():
@@ -136,9 +127,9 @@ def test_exact_pipeline_attains_bound(n, target):
 
 
 def test_exact_pipeline_alternate_phases():
-    assert exact_value(3, prep_phase="alt") == pytest.approx(4.0, abs=1e-8)
-    assert exact_value(4, prep_phase="alt") == pytest.approx(-8 * SQRT2, abs=1e-8)
-    assert exact_value(5, prep_phase="alt") == pytest.approx(-16.0, abs=1e-8)
+    for n, target in ((3, 4.0), (4, -8 * SQRT2), (5, -16.0)):
+        value = run_plan(build_plan(n, prep_phase="alt")).value
+        assert value == pytest.approx(target, abs=1e-8)
 
 
 def test_genuine_threshold_flag():
@@ -333,13 +324,6 @@ def test_counts_to_csv():
     assert len(lines) == 9
     total = sum(int(row.split(",")[1]) for row in lines[1:])
     assert total == 64
-
-
-def test_exact_value_helper_matches_run_plan():
-    model = NoiseModel(depol_2q=0.08)
-    direct = exact_value(4, noise=model)
-    via_plan = run_plan(build_plan(4, noise=model), mode="exact").value
-    assert direct == pytest.approx(via_plan, abs=1e-12)
 
 
 def test_build_plan_honors_device_override():

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import warnings
 
@@ -13,12 +12,8 @@ from merminsim.mermin import (
     SymmetryClass,
     bounds_for,
     canonical_polynomial,
-    equal_up_to_global_sign,
     lr_bound,
     mermin_operator,
-    operator_from_classes,
-    polynomial_from_json,
-    polynomial_to_json,
     qm_bound,
     recursive_polynomial,
     symmetry_classes,
@@ -111,8 +106,11 @@ def test_terms_are_sorted():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_recursion_reproduces_canonical(n):
-    assert recursive_polynomial(n) == canonical_polynomial(n)
-    assert equal_up_to_global_sign(recursive_polynomial(n), canonical_polynomial(n))
+    rec, canon = recursive_polynomial(n), canonical_polynomial(n)
+    assert rec == canon
+    negated = tuple(sorted(((-c, m) for c, m in canon.terms),
+                           key=lambda t: (t[1].bit_count(), t[1])))
+    assert rec.terms in (canon.terms, negated)
 
 
 def test_recursion_n2_is_chsh():
@@ -148,11 +146,6 @@ def test_qm_bounds():
     assert qm_bound(canonical_polynomial(5)) == pytest.approx(16.0, abs=1e-8)
 
 
-def test_qm_bound_warns_when_power_iteration_does_not_converge():
-    with pytest.warns(RuntimeWarning, match=r"did not converge in 1 iterations"):
-        qm_bound(canonical_polynomial(3), max_iter=1)
-
-
 def test_bounds_converge_without_warning():
     bounds_for.cache_clear()
     with warnings.catch_warnings():
@@ -171,8 +164,13 @@ def test_qm_bound_matches_dense_eigenvalues(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_qm_at_least_lr_for_generated_polynomials(n):
+    # Closed forms: Mermin, PRL 65, 1838 (1990); Belinskii & Klyshko,
+    # Phys. Usp. 36, 653 (1993).
     p = recursive_polynomial(n)
     assert qm_bound(p) >= lr_bound(p) - 1e-9
+    assert lr_bound(p) == 2 ** (n // 2)
+    want = 2 ** (n - 1) if n % 2 else 2 ** (n - 0.5)
+    assert qm_bound(p) == pytest.approx(want, rel=1e-12)
 
 
 def test_mermin_operator_matches_dense_oracle():
@@ -188,8 +186,18 @@ def test_operator_is_hermitian():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_class_assembly_equals_term_assembly(n):
+    # Each class spreads its signed weight evenly over every mask of its
+    # prime count; that must rebuild the polynomial's operator exactly.
     p = canonical_polynomial(n)
-    assert np.allclose(operator_from_classes(p), mermin_operator(p), atol=1e-12)
+    terms = [
+        (cls.signed_weight // math.comb(n, cls.prime_count), mask)
+        for cls in symmetry_classes(p)
+        for mask in range(1 << n)
+        if mask.bit_count() == cls.prime_count
+    ]
+    assembled = mermin_operator(MerminPolynomial(n, tuple(terms)))
+    assert np.array_equal(assembled, mermin_operator(p))
+    assert np.allclose(assembled, dense_operator(p), atol=1e-12)
 
 
 def test_party_exchange_symmetry():
@@ -261,16 +269,6 @@ def test_bounds_record_validation():
         BoundsRecord(4.0, 2.0)
     with pytest.raises(ValueError):
         BoundsRecord(0.0, 1.0)
-
-
-def test_json_round_trip():
-    for n in (2, 3, 4, 5):
-        p = recursive_polynomial(n)
-        text = polynomial_to_json(p)
-        doc = json.loads(text)
-        assert set(doc) == {"n", "terms"}
-        assert doc["n"] == n
-        assert polynomial_from_json(text) == p
 
 
 @given(st.integers(2, 6))

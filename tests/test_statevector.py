@@ -14,19 +14,14 @@ from merminsim.statevector import (
     CountsTable,
     DensityMatrix,
     OutcomeDistribution,
-    PauliString,
     Statevector,
     _apply_gate_inplace,
     apply_gate,
     apply_gate_dm,
     circuit_unitary,
-    density_from_state,
     depolarize_dm,
     dm_diagonal_probabilities,
-    dm_pauli_expectation,
     outcome_distribution,
-    pauli_expectation,
-    pauli_matrix,
     sample_counts,
     simulate_circuit,
     unitary_equivalent,
@@ -41,6 +36,7 @@ from conftest import (
     embed_1q,
     oracle_cnot,
     oracle_expectation,
+    oracle_pauli_matrix,
     oracle_state,
     oracle_unitary,
     reference_apply_gate,
@@ -139,28 +135,12 @@ def test_gate_involutions(c, kind, qubit):
     assert abs(back.fidelity(state) - 1.0) < 1e-12
 
 
-def test_pauli_string_constructors():
-    p = PauliString.from_label("XXY")
-    assert p.ops == ("x", "x", "y")
-    q = PauliString.from_prime_mask(3, 0b001)
-    assert q.ops == ("x", "x", "y")
-    assert q.label() == "XXY"
-    assert PauliString.from_prime_mask(3, 0b111).ops == ("y", "y", "y")
-    with pytest.raises(ValueError):
-        PauliString(2, ("x", "q"))
-
-
 def test_pauli_expectation_known_values():
-    ghz = simulate_circuit(ghz_circuit(3, math.pi / 2))
-    assert abs(pauli_expectation(ghz, PauliString.from_label("XXY")) - 1.0) < 1e-12
-    assert abs(pauli_expectation(ghz, PauliString.from_label("YYY")) + 1.0) < 1e-12
-    z0 = Statevector.zero(1)
-    assert pauli_expectation(z0, PauliString.from_label("Z")) == pytest.approx(1.0)
-
-
-def test_pauli_expectation_dimension_check():
-    with pytest.raises(ValueError):
-        pauli_expectation(Statevector.zero(2), PauliString.from_label("XXX"))
+    ghz = simulate_circuit(ghz_circuit(3, math.pi / 2)).amplitudes
+    assert abs(oracle_expectation(ghz, "XXY") - 1.0) < 1e-12
+    assert abs(oracle_expectation(ghz, "YYY") + 1.0) < 1e-12
+    z0 = Statevector.zero(1).amplitudes
+    assert oracle_expectation(z0, "Z") == pytest.approx(1.0)
 
 
 @given(circuits(max_qubits=3), st.data())
@@ -170,22 +150,10 @@ def test_pauli_expectation_matches_oracle(c, data):
         st.lists(st.sampled_from("IXYZ"), min_size=c.n_qubits, max_size=c.n_qubits)
     )
     label = "".join(label)
-    state = simulate_circuit(c)
-    got = pauli_expectation(state, PauliString.from_label(label))
+    got = oracle_expectation(simulate_circuit(c).amplitudes, label)
     want = oracle_expectation(oracle_state(c), label)
     assert abs(got - want) < 1e-12
     assert abs(got) <= 1 + 1e-12
-
-
-def test_pauli_matrix_matches_oracle():
-    from conftest import oracle_pauli_matrix
-
-    for label in ("XY", "ZI", "YYX"):
-        assert np.allclose(
-            pauli_matrix(PauliString.from_label(label)),
-            oracle_pauli_matrix(label),
-            atol=1e-14,
-        )
 
 
 def test_outcome_distribution_bell():
@@ -293,31 +261,29 @@ def test_counts_table_validation():
     assert table.counts.tolist() == [1, 3]
 
 
-def test_density_from_state():
-    rho = density_from_state(Statevector.zero(1))
-    assert np.allclose(rho.entries, np.diag([1.0, 0.0]))
-
-
 def test_fully_depolarizing_fixed_point():
     chan = depolarizing_channel(1.0, 1)
     state = apply_gate(Statevector.zero(1), Gate("t", (0,)))
-    rho = apply_channel(density_from_state(apply_gate(state, h(0))), chan, (0,))
+    amps = apply_gate(state, h(0)).amplitudes
+    rho = apply_channel(DensityMatrix(1, np.outer(amps, amps.conj())), chan, (0,))
     assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
 
 def test_dm_expectation_consistent_with_pure():
-    ghz = simulate_circuit(ghz_circuit(3, math.pi / 2))
-    rho = density_from_state(ghz)
-    for label in ("XXY", "YYY", "ZZI"):
-        p = PauliString.from_label(label)
-        assert dm_pauli_expectation(rho, p) == pytest.approx(
-            pauli_expectation(ghz, p), abs=1e-12
-        )
+    c = ghz_circuit(3, math.pi / 2)
+    ghz = simulate_circuit(c).amplitudes
+    evolved = DensityMatrix.zero(3)
+    for gate in c.gates:
+        evolved = apply_gate_dm(evolved, gate)
+    for rho in (DensityMatrix(3, np.outer(ghz, ghz.conj())), evolved):
+        for label in ("XXY", "YYY", "ZZI"):
+            got = np.trace(rho.entries @ oracle_pauli_matrix(label)).real
+            assert got == pytest.approx(oracle_expectation(ghz, label), abs=1e-12)
 
 
 def test_apply_gate_dm_matches_pure_path():
     c = ghz_circuit(3, math.pi / 4)
-    rho = density_from_state(Statevector.zero(3))
+    rho = DensityMatrix.zero(3)
     for gate in c.gates:
         rho = apply_gate_dm(rho, gate)
     assert np.allclose(
@@ -328,7 +294,8 @@ def test_apply_gate_dm_matches_pure_path():
 
 
 def test_density_matrix_invariants_after_channel():
-    rho = density_from_state(simulate_circuit(ghz_circuit(3)))
+    amps = simulate_circuit(ghz_circuit(3)).amplitudes
+    rho = DensityMatrix(3, np.outer(amps, amps.conj()))
     rho = apply_channel(rho, depolarizing_channel(0.3, 2), (0, 2))
     assert np.allclose(rho.entries, rho.entries.conj().T, atol=1e-10)
     assert rho.trace() == pytest.approx(1.0, abs=1e-10)
