@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import lru_cache
+from operator import attrgetter, index
 
 GATE_KINDS = {
     "h": 1,
@@ -51,7 +52,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+        # Plain ints: equal keys such as 1 and True share one interned gate.
+        object.__setattr__(self, "qubits", tuple(map(index, self.qubits)))
         arity = GATE_KINDS[self.kind]
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubit(s), got {len(self.qubits)}")
@@ -61,32 +63,41 @@ class Gate:
             raise ValueError("duplicate qubit in gate")
 
 
+@lru_cache(maxsize=1024)
+def gate(kind: str, qubits: tuple[int, ...]) -> Gate:
+    """The process-wide Gate for (kind, qubits), built and validated on first
+    use. A gate that fails validation raises on every call and is never
+    stored. The 204 gates on qubits below 12 (the doubled density-matrix
+    vector) are never evicted; the bound caps what other callers can add."""
+    return Gate(kind, qubits)
+
+
 def h(q: int) -> Gate:
-    return Gate("h", (q,))
+    return gate("h", (q,))
 
 
 def x(q: int) -> Gate:
-    return Gate("x", (q,))
+    return gate("x", (q,))
 
 
 def s(q: int) -> Gate:
-    return Gate("s", (q,))
+    return gate("s", (q,))
 
 
 def sdg(q: int) -> Gate:
-    return Gate("sdg", (q,))
+    return gate("sdg", (q,))
 
 
 def t(q: int) -> Gate:
-    return Gate("t", (q,))
+    return gate("t", (q,))
 
 
 def tdg(q: int) -> Gate:
-    return Gate("tdg", (q,))
+    return gate("tdg", (q,))
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate("cnot", (control, target))
+    return gate("cnot", (control, target))
 
 
 @dataclass(frozen=True)
@@ -225,18 +236,16 @@ def parse_circuit(text: str) -> Circuit:
     n_qubits = None
     gates: list[Gate] = []
     basis: tuple[str, ...] | None = None
-    # One Gate per distinct (kind, qubits), checked and built once, and the
-    # Gate of each distinct gate line. A line that fails is never stored, and
-    # only a measure line above can make a stored one fail.
-    by_gate: dict[tuple[str, tuple[int, ...]], Gate] = {}
+    # The Gate of each distinct gate line. A line that fails is never stored,
+    # and only a measure line above can make a stored one fail.
     by_line: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        gate = by_line.get(line)
-        if gate is not None and basis is None:
-            gates.append(gate)
+        g = by_line.get(line)
+        if g is not None and basis is None:
+            gates.append(g)
             continue
         tokens = line.split()
         head = tokens[0].lower()
@@ -275,12 +284,8 @@ def parse_circuit(text: str) -> Circuit:
             idx.append(q)
         if head == "cnot" and idx[0] == idx[1]:
             raise CircuitFormatError("duplicate qubit", lineno)
-        key = (head, tuple(idx))
-        gate = by_gate.get(key)
-        if gate is None:
-            gate = by_gate[key] = Gate(*key)
-        by_line[line] = gate
-        gates.append(gate)
+        g = by_line[line] = gate(head, tuple(idx))
+        gates.append(g)
     if n_qubits is None:
         raise CircuitFormatError("missing qubits header", 1)
     return Circuit(n_qubits, tuple(gates), basis)

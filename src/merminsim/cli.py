@@ -1,11 +1,17 @@
 """Command-line front end.
 
-Subcommands: bounds, transpile, run, degrade, parse. Exit codes: 0 success,
-1 malformed input (circuit or config), 2 device-constraint violation.
+Subcommands: bounds, transpile, run, degrade, parse. Exit codes: 0 success
+(also for --help), 1 malformed input (command-line usage, circuit or config),
+2 device-constraint violation. Every error is one ``error: <message>`` line
+on stderr.
+
+The argument parser is built once per process, on the first ``main`` call;
+later calls only parse.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,8 +31,20 @@ from .noise import NoiseModel, degradation_curve
 from .transpile import DeviceModel, StarTopologyError, transpile
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error where argparse would print the usage and exit 2,
+    the code reserved for a device-constraint violation. Subparsers inherit
+    the class."""
+
+    def error(self, message):
+        # argparse quotes some tokens raw ("unrecognized arguments: ..."),
+        # so a token holding a line break must not break the one-line report.
+        raise ValueError(" ".join(message.splitlines()))
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="merminsim",
         description="GHZ-circuit simulation and Mermin-inequality estimation "
         "on a star-constrained device model.",
@@ -155,8 +173,6 @@ def _cmd_parse(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "bounds": _cmd_bounds,
         "transpile": _cmd_transpile,
@@ -165,6 +181,7 @@ def main(argv=None) -> int:
         "parse": _cmd_parse,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except StarTopologyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, MAX_QUBITS
+from .circuits import Circuit, Gate, MAX_QUBITS, gate as interned_gate
 
 MAX_DM_QUBITS = 6
 
@@ -321,7 +321,8 @@ def apply_gate_dm(rho: DensityMatrix, gate: Gate) -> DensityMatrix:
     out = rho.entries.copy()
     vec = out.reshape(-1)
     _apply_gate_inplace(vec, gate, 2 * n)
-    _apply_gate_inplace(vec, Gate(GATE_CONJ[gate.kind], tuple(n + q for q in gate.qubits)), 2 * n)
+    conj = interned_gate(GATE_CONJ[gate.kind], tuple(n + q for q in gate.qubits))
+    _apply_gate_inplace(vec, conj, 2 * n)
     return DensityMatrix(n, out)
 
 

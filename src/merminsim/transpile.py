@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import PHASE_KINDS, Circuit, Gate, cnot, h
+from .circuits import PHASE_KINDS, Circuit, Gate, cnot, gate, h
 from .statevector import _apply_gate_inplace
 
 
@@ -74,7 +74,6 @@ def reverse_cnot_pass(c: Circuit, d: DeviceModel) -> Circuit:
     if d.n_qubits != c.n_qubits:
         raise ValueError("device and circuit qubit counts differ")
     out: list[Gate] = []
-    reversed_forms: dict[tuple[int, int], tuple[Gate, ...]] = {}
     for g in c.gates:
         if g.kind != "cnot":
             out.append(g)
@@ -87,10 +86,8 @@ def reverse_cnot_pass(c: Circuit, d: DeviceModel) -> Circuit:
         if tgt == d.cnot_target:
             out.append(g)
             continue
-        form = reversed_forms.get(g.qubits)
-        if form is None:
-            form = reversed_forms[g.qubits] = (h(ctrl), h(tgt), cnot(tgt, ctrl), h(ctrl), h(tgt))
-        out.extend(form)
+        around = (h(ctrl), h(tgt))
+        out += (*around, cnot(tgt, ctrl), *around)
     return c.with_gates(out)
 
 
@@ -169,11 +166,10 @@ def place_phase_pass(c: Circuit, d: DeviceModel) -> Circuit:
     positions = _movable_phase_positions(c)
     if not positions:
         return c
-    host = d.robustness_rank[0]
-    on_host = {kind: Gate(kind, (host,)) for kind in PHASE_KINDS}
+    host = (d.robustness_rank[0],)
     gates = list(c.gates)
     for i in positions:
-        gates[i] = on_host[gates[i].kind]
+        gates[i] = gate(gates[i].kind, host)
     return c.with_gates(gates)
 
 

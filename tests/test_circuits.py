@@ -10,6 +10,7 @@ from merminsim.circuits import (
     Gate,
     MeasurementSetting,
     cnot,
+    gate,
     ghz_circuit,
     h,
     mask_bit,
@@ -36,6 +37,34 @@ def test_gate_validation():
         Gate("rz", (0,))
     with pytest.raises(ValueError):
         h(-1)
+
+
+def test_gates_are_interned():
+    assert h(1) is h(1) is parse_circuit("qubits 2\nh 1\n").gates[0]
+    assert gate("cnot", (0, 2)) is cnot(0, 2) is ghz_circuit(3).gates[2]
+    assert s(0) is with_setting(ghz_circuit(2, math.pi / 2), MeasurementSetting(2, 0)).gates[2]
+
+
+def test_rejected_gate_raises_every_time():
+    size = gate.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="duplicate qubit"):
+            gate("cnot", (1, 1))
+        with pytest.raises(ValueError, match="duplicate qubit"):
+            cnot(1, 1)
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            gate("rz", (0,))
+    assert gate.cache_info().currsize == size
+
+
+def test_gate_qubits_are_plain_ints():
+    """Equal keys share one interned gate, so whichever built it must
+    serialize the same: qubits are stored as ints."""
+    assert type(Gate("h", (np.int64(3),)).qubits[0]) is int
+    assert type(gate("x", (True,)).qubits[0]) is int
+    assert serialize_circuit(Circuit(2, (gate("x", (1,)),))) == "qubits 2\nx 1\nmeasure z z\n"
+    with pytest.raises(TypeError):
+        Gate("h", (1.5,))
 
 
 def test_circuit_validation():

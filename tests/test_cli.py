@@ -1,8 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from merminsim import cli
 from merminsim.cli import main
 
 from conftest import FIXTURES
@@ -39,9 +46,10 @@ def test_bounds_json(capsys):
 
 
 def test_bounds_rejects_other_n(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "6"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "bounds", "6")
+    assert code == 1
+    assert out == ""
+    assert err == "error: argument n: invalid choice: 6 (choose from 3, 4, 5)\n"
 
 
 def test_transpile_stdout(capsys):
@@ -239,7 +247,161 @@ def test_parse_bad_fixtures_exit_1(capsys, name, message):
     assert message in err
 
 
-def test_unknown_subcommand_exits_2(capsys):
+def test_unknown_subcommand_exits_1(capsys):
+    code, out, err = run_cli(capsys, "frobnicate")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["transpile", "F", "--rank", "-1,0,1"], "argument --rank: expected one argument"),
+    (["bounds", "3", "--bogus"], "unrecognized arguments: --bogus"),
+    (["bounds", "3", "a\nb"], "unrecognized arguments: a b"),
+    ([], "the following arguments are required: command"),
+    (["degrade", "3", "--param", "depol_3q"], "argument --param: invalid choice: 'depol_3q'"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["transpile", "-h"]])
+def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: merminsim")
+    assert captured.err == ""
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    cli._build_parser.cache_clear()
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    path = str(FIXTURES / "valid" / "ghz3_plain.qc")
+    assert run_cli(capsys, "parse", path)[0] == 0
+    first = len(added)
+    assert first > 0
+    for argv in (["parse", path], ["bounds", "3"], ["bounds", "9"], ["transpile", path]):
+        run_cli(capsys, *argv)
+    assert len(added) == first
+
+
+def test_back_to_back_calls_leak_no_state(capsys, tmp_path):
+    path = str(FIXTURES / "valid" / "ghz3_imag.qc")
+    report = tmp_path / "report.json"
+    code, first, _ = run_cli(capsys, "transpile", path, "--cnot-target", "0",
+                             "--report", str(report))
+    assert code == 0 and report.exists()
+    report.write_text("untouched\n")
+    code, second, _ = run_cli(capsys, "transpile", path, "--cnot-target", "0")
+    assert code == 0 and second == first
+    assert report.read_text() == "untouched\n"
+
+    code, out, _ = run_cli(capsys, "degrade", "3", "--param", "depol_1q", "--values", "0")
+    assert code == 0 and out.startswith("depol_1q,")
+    assert run_cli(capsys, "bounds", "7")[0] == 1
+    code, out, _ = run_cli(capsys, "degrade", "3", "--values", "0")
+    assert code == 0 and out.startswith("depol_2q,")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A temporary directory holding copies of the fixtures and three small run
+    configs: fuzzed --out, --report and --out-dir values may overwrite them."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    for kind in ("valid", "bad"):
+        for src in sorted((FIXTURES / kind).glob("*.qc")):
+            shutil.copy(src, root / src.name)
+    (root / "exact.cfg").write_text("n = 3\n[noise]\ndepol_2q = 0.05\n")
+    (root / "sampled.cfg").write_text("n = 3\nmode = sampled\noutput = json\nshots = 64\n")
+    (root / "csv.cfg").write_text("n = 4\nmode = sampled\noutput = csv\nshots = 64\n")
+    return root
+
+
+_FIXTURE_NAMES = sorted(p.name for kind in ("valid", "bad")
+                        for p in (FIXTURES / kind).glob("*.qc"))
+_CONFIG_NAMES = ["exact.cfg", "sampled.cfg", "csv.cfg"]
+_CLI_WORDS = ["bounds", "transpile", "run", "degrade", "parse", "--json", "--cnot-target",
+              "--rank", "--out", "--report", "--out-dir", "--param", "--values", "--help",
+              "-h", "--", "-", "depol_1q", "depol_2q", "readout_flip", "0,1,2", "1,0",
+              "2,1,0,3,4", "0,0.05"]
+# No "/" or ".": a fuzzed output path stays inside the temporary directory.
+_JUNK = st.text(alphabet=st.characters(exclude_characters="/."), max_size=6)
+_CLI_TOKENS = st.one_of(
+    st.sampled_from(_CLI_WORDS),
+    st.sampled_from(_FIXTURE_NAMES + _CONFIG_NAMES),
+    st.integers(-3, 12).map(str),
+    _JUNK,
+)
+
+
+_COMMANDS = {  # operand tokens and options of each subcommand
+    "bounds": (st.integers(2, 6).map(str), ["--json"]),
+    "transpile": (st.sampled_from(_FIXTURE_NAMES), ["--cnot-target", "--rank", "--out",
+                                                    "--report"]),
+    "run": (st.sampled_from(_CONFIG_NAMES), ["--out-dir"]),
+    "degrade": (st.integers(2, 6).map(str), ["--param", "--values"]),
+    "parse": (st.sampled_from(_FIXTURE_NAMES), []),
+}
+_ANY_OPTION = [o for _, options in _COMMANDS.values() for o in options]
+
+
+def _command_argv(command):
+    """The subcommand, its operand, then mostly its own options with a value
+    each, so that most lists get past the parser into the subcommand."""
+    operand, options = _COMMANDS[command]
+    option = st.sampled_from(options or _ANY_OPTION)
+    group = st.one_of(st.tuples(option, _CLI_TOKENS), st.tuples(option),
+                      st.tuples(_CLI_TOKENS))
+    return st.tuples(operand, st.lists(group, max_size=3)).map(
+        lambda t: [command, t[0], *(tok for g in t[1] for tok in g)])
+
+
+_CLI_ARGVS = st.one_of(
+    st.lists(_CLI_TOKENS, max_size=7),
+    st.sampled_from(sorted(_COMMANDS)).flatmap(_command_argv),
+)
+
+
+@given(argv=_CLI_ARGVS)
+@settings(max_examples=300, deadline=None)
+def test_cli_arguments_fuzz(fuzz_dir, argv):
+    """Any argument list ends with exit 0, 1 or 2 from one process's main,
+    and never with an exception. A nonzero exit writes one error line to
+    stderr, and 2 is only a star-topology violation."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # Only --help exits through SystemExit.
+                assert exc.code == 0
+                assert out.getvalue().startswith("usage: merminsim")
+                code = 0
+    finally:
+        os.chdir(cwd)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        return
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    if code == 2:
+        assert " does not involve target qubit " in lines[0]

@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from merminsim.config import ConfigError, parse_config
+from merminsim.config import ConfigError, RunConfig, parse_config
 from merminsim.noise import NoiseModel
 from merminsim.transpile import DeviceModel
 
@@ -114,3 +115,42 @@ def test_device_rank_roundtrip_through_plan():
     )
     est = run_plan(plan, mode="exact")
     assert est.value == pytest.approx(4.0, abs=1e-8)
+
+
+_CONFIG_KEYS = ["n", "shots", "seed", "mode", "reduction", "output", "prep_phase", "depol_1q",
+                "depol_2q", "readout_flip", "cnot_target", "robustness_rank", "bogus", ""]
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["3", "4", "5", "exact", "sampled", "classes", "full-terms", "json",
+                     "table", "csv", "max", "alt", "0.05", "nan", "inf", "-1", "1e999",
+                     "0 1 2", "2 1 0 3", "1_0", "", "= 1"]),
+    st.integers(-10, 10 ** 20).map(str),
+    st.text(max_size=6),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from([" = ", "=", " : "]),
+              _CONFIG_VALUES).map("".join),
+    st.sampled_from(["[noise]", "[device]", "[ noise ]", "[other]", "[", "", "# note",
+                     "n = 3 # note"]),
+    st.text(max_size=12),
+)
+_CONFIG_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.lists(_CONFIG_LINES, max_size=10).map("\n".join),
+    st.lists(_CONFIG_LINES, max_size=10).map(lambda lines: "\n".join(["n = 3", *lines])),
+)
+
+
+@given(_CONFIG_TEXTS)
+@settings(max_examples=300)
+def test_parse_config_fuzz(text):
+    """Any text gives a RunConfig or a ConfigError naming one of its lines;
+    anything else fails."""
+    try:
+        cfg = parse_config(text)
+    except ConfigError as err:
+        # Text with no n reports its last line, or line 1 when it has none.
+        assert 1 <= err.line <= max(1, len(text.splitlines()))
+        assert str(err).endswith(f", line {err.line}")
+        return
+    assert isinstance(cfg, RunConfig)
+    assert cfg.n in (3, 4, 5)

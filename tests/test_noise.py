@@ -114,6 +114,26 @@ def test_noisy_distribution_size_cap():
         noisy_distribution(Circuit(7, ()), ZERO_NOISE)
 
 
+def test_noisy_distribution_builds_no_gate_after_warm_up(monkeypatch):
+    """apply_gate_dm takes its conjugate gate from the interned table, so a
+    repeated call constructs no Gate."""
+    c = parse_circuit((FIXTURES / "valid" / "ghz5_xyxxy_ideal.qc").read_text())
+    c = c.with_gates(c.gates + (Gate("t", (1,)), Gate("x", (3,))))
+    m = NoiseModel(depol_1q=0.01, depol_2q=0.05, readout_flip=0.02)
+    first = noisy_distribution(c, m).probabilities
+    built = []
+    check = Gate.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    second = noisy_distribution(c, m).probabilities
+    assert built == []
+    assert np.array_equal(first, second)
+
+
 def test_noisy_distribution_rejects_before_allocating():
     # A 10-qubit density matrix would take 16 MB.
     tracemalloc.start()

@@ -156,6 +156,44 @@ def test_bench_summary(tmp_path, capsys, monkeypatch):
     assert entry["digests_match"] == {"1": True, "2": False}
 
 
+def traced_record(tmp_path, side: str, seed: int, cli_ms: float, failed: int = 0) -> str:
+    """A traced perfbench record: every self time of BENCHMARK.json is 1 ms but
+    cli.main's."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    metrics = {name: {"value": 1.0, "unit": "ms"} for name in names}
+    metrics["cli.main.self_ms"]["value"] = cli_ms
+    rec = {"workload": "transpile-long", "trace": 1, "attempted": 100, "failed": failed,
+           "environment": {"git_revision": side, "python": "3.x", "seed": seed},
+           "metrics": metrics, "digests": []}
+    path = tmp_path / f"{side}-{seed}-traced.json"
+    path.write_text(json.dumps(rec))
+    return str(path)
+
+
+def test_bench_summary_per_layer(tmp_path, capsys, monkeypatch):
+    parent = [bench_record(tmp_path, "p", 1, 10.0, 5.0, revision="abc"),
+              traced_record(tmp_path, "abc", 5, 400.0), traced_record(tmp_path, "abc", 6, 500.0)]
+    change = [bench_record(tmp_path, "c", 1, 20.0, 2.0, revision="def"),
+              traced_record(tmp_path, "def", 5, 40.0, failed=1)]
+    with pytest.raises(SystemExit) as exc:
+        run_script("bench_summary.py", *parent, "--", *change, monkeypatch=monkeypatch)
+    assert exc.value.code == 0
+    doc = json.loads(capsys.readouterr().out)
+    # End-to-end figures and totals come from untraced records only.
+    assert doc["parent"]["records"] == 1 and doc["parent"]["attempted"] == 100
+    assert doc["workloads"]["sampled-shots"]["metrics"]["ops_per_s"]["change_wins"] == 1
+    assert doc["workloads"]["sampled-shots"]["per_layer"]["parent_seeds"] == []
+    traced = doc["workloads"]["transpile-long"]
+    assert traced["paired_seeds"] == [] and traced["metrics"]["ops_per_s"]["parent"] is None
+    layers = traced["per_layer"]
+    assert (layers["parent_seeds"], layers["change_seeds"]) == ([5, 6], [5])
+    assert layers["failed"] == {"parent": 0, "change": 1}
+    assert layers["metrics"]["cli.main.self_ms"] == {"unit": "ms", "parent": 450.0,
+                                                     "change": 40.0}
+    assert layers["metrics"]["transpile.transpile.self_ms"]["change"] == 1.0
+    assert all(name.endswith(".self_ms") for name in layers["metrics"])
+
+
 @pytest.mark.parametrize("shape,message", [
     ("no-cut", "missing --"),
     ("empty-change", "no CHANGE records"),

@@ -9,6 +9,7 @@ from merminsim.circuits import (
     Gate,
     MeasurementSetting,
     cnot,
+    gate,
     ghz_circuit,
     h,
     parse_circuit,
@@ -140,6 +141,16 @@ def test_cancel_pass_preserves_unitary_and_shrinks(c):
     out = cancel_adjacent_pass(c)
     assert len(out.gates) <= len(c.gates)
     assert unitary_equivalent(c, out)
+
+
+def test_passes_emit_interned_gates():
+    c = with_setting(ghz_circuit(5, 3 * math.pi / 4, control=2), MeasurementSetting(5, 0b01101))
+    d = DeviceModel(5, cnot_target=2, robustness_rank=(3, 0, 1, 2, 4))
+    reversed_ = reverse_cnot_pass(c, d)
+    placed = place_phase_pass(reversed_, d)
+    assert placed is not reversed_
+    for out in (reversed_, placed):
+        assert all(g is gate(g.kind, g.qubits) for g in out.gates)
 
 
 def test_place_pass_moves_branch_phase():
