@@ -2,8 +2,9 @@
 
 Subcommands: bounds, transpile, run, degrade, parse. Exit codes: 0 success
 (also for --help), 1 malformed input (command-line usage, circuit or config),
-2 device-constraint violation. Every error is one ``error: <message>`` line
-on stderr.
+2 device-constraint violation. ``main`` returns the code, also after --help,
+and never raises SystemExit. Every error is one ``error: <message>`` line on
+stderr.
 
 The argument parser is built once per process, on the first ``main`` call;
 later calls only parse.
@@ -183,6 +184,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:
+        # With error() overridden, only --help exits, after printing the usage.
+        return exc.code
     except StarTopologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

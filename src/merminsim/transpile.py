@@ -2,12 +2,16 @@
 CNOT target (star topology), Z-basis-only measurement, and phase gates
 relocated to the most robust qubit.
 
-Pass order is fixed: CNOT reversal, then phase placement, then peephole
+Pass order is fixed: phase placement, then CNOT reversal, then peephole
 cancellation. Reversal and cancellation preserve the full unitary. Phase
 placement preserves the prepared state (the action on |0...0>): relocating a
 diagonal gate across qubits is only an identity on the two-dimensional
 GHZ-diagonal subspace, so a relocated circuit is not unitary-equal to its
 input, but produces the same state and hence the same outcome distribution.
+Placement and reversal commute: reversal rewrites only CNOTs, each into the
+same unitary, and placement rewrites only the qubit of a phase gate, so the
+state at every phase gate is the same in either order. Placing first spares
+the placement scan the four H gates of every reversed CNOT.
 """
 from __future__ import annotations
 
@@ -68,24 +72,31 @@ class TranspileReport:
         }
 
 
+def _check_sizes(c: Circuit, d: DeviceModel) -> None:
+    if d.n_qubits != c.n_qubits:
+        raise ValueError("device and circuit qubit counts differ")
+
+
+def _needs_reversal(g: Gate, d: DeviceModel) -> bool:
+    """Whether CNOT g targets a qubit other than the device's target; raises
+    StarTopologyError when g does not involve that qubit at all."""
+    if d.cnot_target not in g.qubits:
+        raise StarTopologyError(
+            f"cnot {g.qubits[0]} {g.qubits[1]} does not involve target qubit {d.cnot_target}"
+        )
+    return g.qubits[1] != d.cnot_target
+
+
 def reverse_cnot_pass(c: Circuit, d: DeviceModel) -> Circuit:
     """Make every CNOT target the device's designated qubit. A wrong-direction
     CNOT becomes the H-conjugated reversed form (5 gates)."""
-    if d.n_qubits != c.n_qubits:
-        raise ValueError("device and circuit qubit counts differ")
+    _check_sizes(c, d)
     out: list[Gate] = []
     for g in c.gates:
-        if g.kind != "cnot":
+        if g.kind != "cnot" or not _needs_reversal(g, d):
             out.append(g)
             continue
         ctrl, tgt = g.qubits
-        if d.cnot_target not in g.qubits:
-            raise StarTopologyError(
-                f"cnot {ctrl} {tgt} does not involve target qubit {d.cnot_target}"
-            )
-        if tgt == d.cnot_target:
-            out.append(g)
-            continue
         around = (h(ctrl), h(tgt))
         out += (*around, cnot(tgt, ctrl), *around)
     return c.with_gates(out)
@@ -138,8 +149,10 @@ def cancel_adjacent_pass(c: Circuit) -> Circuit:
 def _movable_phase_positions(c: Circuit) -> list[int]:
     """Indices of S/T-family gates at points where the running state from
     |0...0> is supported on the all-zeros and all-ones indices only. A
-    diagonal phase gate there acts identically on every qubit. The scan
-    stops at the last phase gate."""
+    diagonal phase gate there acts identically on every qubit. A phase gate
+    moves no probability mass, so the gates of a run of consecutive phase
+    gates share the verdict of the run's first gate, and the mass is checked
+    once per run. The scan stops at the last phase gate."""
     phases = [i for i, g in enumerate(c.gates) if g.kind in PHASE_KINDS]
     if not phases:
         return []
@@ -148,10 +161,15 @@ def _movable_phase_positions(c: Circuit) -> list[int]:
     amps[0] = 1.0
     last = (1 << n) - 1
     out = []
+    movable = None  # verdict of the current run of phase gates
     for i, g in enumerate(c.gates[: phases[-1] + 1]):
-        if g.kind in PHASE_KINDS:
-            off = float(np.vdot(amps, amps).real - abs(amps[0]) ** 2 - abs(amps[last]) ** 2)
-            if off <= 1e-9:
+        if g.kind not in PHASE_KINDS:
+            movable = None
+        else:
+            if movable is None:
+                off = float(np.vdot(amps, amps).real - abs(amps[0]) ** 2 - abs(amps[last]) ** 2)
+                movable = off <= 1e-9
+            if movable:
                 out.append(i)
         _apply_gate_inplace(amps, g, n)
     return out
@@ -161,8 +179,7 @@ def place_phase_pass(c: Circuit, d: DeviceModel) -> Circuit:
     """Reassign every movable phase gate to the most robust qubit, keeping
     list positions. Returns c itself exactly when no phase gate is movable,
     and a new circuit otherwise."""
-    if d.n_qubits != c.n_qubits:
-        raise ValueError("device and circuit qubit counts differ")
+    _check_sizes(c, d)
     positions = _movable_phase_positions(c)
     if not positions:
         return c
@@ -186,16 +203,16 @@ def constraint_violations(c: Circuit, d: DeviceModel) -> list[str]:
 
 
 def transpile(c: Circuit, d: DeviceModel) -> tuple[Circuit, TranspileReport]:
-    reversed_count = sum(
-        1 for g in c.gates if g.kind == "cnot" and g.qubits[1] != d.cnot_target
-    )
-    c1 = reverse_cnot_pass(c, d)
-    c2 = place_phase_pass(c1, d)
+    _check_sizes(c, d)
+    # Also rejects a star-illegal circuit before the placement scan runs.
+    reversed_count = sum(1 for g in c.gates if g.kind == "cnot" and _needs_reversal(g, d))
+    c1 = place_phase_pass(c, d)
+    c2 = reverse_cnot_pass(c1, d)
     c3 = cancel_adjacent_pass(c2)
     report = TranspileReport(
         gate_count_before=len(c.gates),
         gate_count_after=len(c3.gates),
         added_h_count=4 * reversed_count,
-        phase_host_qubit=d.robustness_rank[0] if c2 is not c1 else -1,
+        phase_host_qubit=d.robustness_rank[0] if c1 is not c else -1,
     )
     return c3, report

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,12 +275,20 @@ def test_usage_errors_exit_1(capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [["--help"], ["transpile", "-h"]])
 def test_help_exits_0(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("usage: merminsim")
-    assert captured.err == ""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: merminsim")
+    assert err == ""
+
+
+def test_module_help_exits_0():
+    """As a program, --help still exits 0 with the usage on stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "merminsim", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: merminsim")
+    assert proc.stderr == ""
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
@@ -387,13 +398,7 @@ def test_cli_arguments_fuzz(fuzz_dir, argv):
     os.chdir(fuzz_dir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                # Only --help exits through SystemExit.
-                assert exc.code == 0
-                assert out.getvalue().startswith("usage: merminsim")
-                code = 0
+            code = main(argv)
     finally:
         os.chdir(cwd)
     err = err.getvalue()

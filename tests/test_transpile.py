@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ def star_circuits(draw):
     workload: inverse pairs, adjacent or split by a gate on other qubits;
     CNOT pairs in either direction, the wrong one cancelling only after
     reversal; GHZ fan-outs from the hub, every CNOT wrong-direction; and
-    runs of phase gates before and after an H."""
+    runs of phase gates split by an H, an X or a CNOT."""
     n = draw(st.integers(3, 10))
     hub = draw(st.integers(0, n - 1))
     others = [q for q in range(n) if q != hub]
@@ -357,6 +358,9 @@ def star_circuits(draw):
     gates = []
     shapes = draw(st.lists(st.sampled_from(["pair", "split", "cnots", "ghz", "phases"]),
                            max_size=12))
+    splitters = st.one_of(st.sampled_from(["h", "x"]).flatmap(
+        lambda kind: qubit.map(lambda q: Gate(kind, (q,)))),
+        st.sampled_from(others).flatmap(lambda q: st.sampled_from([cnot(hub, q), cnot(q, hub)])))
     for shape in shapes:
         if shape in ("pair", "split"):
             kind, q = draw(st.sampled_from(sorted(_INVERSE))), draw(qubit)
@@ -374,7 +378,7 @@ def star_circuits(draw):
         elif shape == "ghz":
             gates += [h(hub)] + [cnot(hub, q) for q in others]
         else:
-            gates += phase_run() + [h(draw(qubit))] + phase_run()
+            gates += phase_run() + [draw(splitters)] + phase_run()
     rank = tuple(draw(st.permutations(range(n))))
     return Circuit(n, tuple(gates)), DeviceModel(n, cnot_target=hub, robustness_rank=rank)
 
@@ -382,9 +386,11 @@ def star_circuits(draw):
 @given(star_circuits())
 @settings(max_examples=150, deadline=None)
 def test_passes_match_reference_implementations(case):
-    """The stop-early phase scan and the bitmask peephole give the same
-    positions and gate lists as their first forms in conftest."""
+    """The stop-early, once-per-run phase scan and the bitmask peephole give
+    the same positions and gate lists as their first forms in conftest, on
+    the circuit as written and after CNOT reversal."""
     c, device = case
+    assert _movable_phase_positions(c) == reference_movable_phase_positions(c)
     reversed_ = reverse_cnot_pass(c, device)
     positions = reference_movable_phase_positions(reversed_)
     assert _movable_phase_positions(reversed_) == positions
@@ -395,3 +401,57 @@ def test_passes_match_reference_implementations(case):
     assert list(placed.gates) == want
     for circuit in (c, reversed_, placed):
         assert cancel_adjacent_pass(circuit).gates == reference_cancel_adjacent_pass(circuit).gates
+
+
+def reversal_first_transpile(c: Circuit, d: DeviceModel):
+    """transpile with CNOT reversal run before phase placement."""
+    reversed_ = reverse_cnot_pass(c, d)
+    placed = place_phase_pass(reversed_, d)
+    out = cancel_adjacent_pass(placed)
+    added = len(reversed_.gates) - len(c.gates)
+    host = d.robustness_rank[0] if placed is not reversed_ else -1
+    return out, TranspileReport(len(c.gates), len(out.gates), added, host)
+
+
+@given(star_circuits())
+@settings(max_examples=150, deadline=None)
+def test_transpile_order_matches_reversal_first(case):
+    """Placing phases before reversing CNOTs gives the same gates and report
+    as the reverse order: reversal keeps the unitary and never touches a
+    phase gate, so every phase gate sees the same state."""
+    c, device = case
+    assert transpile(c, device) == reversal_first_transpile(c, device)
+
+
+def test_transpile_order_matches_reversal_first_on_plan_circuits():
+    """Every class circuit a plan can build for n = 3..5: each hub, each
+    measurement mask and each eighth-turn prep phase, with a random
+    ranking."""
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5):
+        for hub in range(n):
+            device = DeviceModel(n, cnot_target=hub,
+                                 robustness_rank=tuple(int(q) for q in rng.permutation(n)))
+            for k in range(8):
+                prep = ghz_circuit(n, k * math.pi / 4, control=hub)
+                for mask in range(1 << n):
+                    c = with_setting(prep, MeasurementSetting(n, mask))
+                    assert transpile(c, device) == reversal_first_transpile(c, device)
+
+
+def test_transpile_rejects_star_violation_before_the_scan(monkeypatch):
+    """A star-illegal circuit raises reverse_cnot_pass's message and never
+    pays for the phase scan."""
+    c = Circuit(4, (h(0), s(0), cnot(0, 1), t(3)))
+    device = DeviceModel(4, cnot_target=2)
+    with pytest.raises(StarTopologyError) as want:
+        reverse_cnot_pass(c, device)
+
+    def fail(_):
+        raise AssertionError("phase scan ran on a star-illegal circuit")
+
+    # The package exports the function transpile over the module's name.
+    monkeypatch.setattr(sys.modules[transpile.__module__], "_movable_phase_positions", fail)
+    with pytest.raises(StarTopologyError) as got:
+        transpile(c, device)
+    assert str(got.value) == str(want.value) == "cnot 0 1 does not involve target qubit 2"
