@@ -12,7 +12,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter, index
 
@@ -46,8 +46,15 @@ class CircuitFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate. ``line`` (its text form), ``top`` (its largest qubit index)
+    and ``mask`` (its wire bitmask) are derived once, at construction, so
+    callers handling many copies of an interned gate read them for free."""
+
     kind: str
     qubits: tuple[int, ...]
+    line: str = field(init=False, repr=False, compare=False)
+    top: int = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -61,6 +68,9 @@ class Gate:
             raise ValueError("negative qubit index")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("duplicate qubit in gate")
+        object.__setattr__(self, "line", " ".join([self.kind, *map(str, self.qubits)]))
+        object.__setattr__(self, "top", max(self.qubits))
+        object.__setattr__(self, "mask", sum(1 << q for q in self.qubits))
 
 
 @lru_cache(maxsize=1024)
@@ -100,6 +110,10 @@ def cnot(control: int, target: int) -> Gate:
     return gate("cnot", (control, target))
 
 
+_TOP = attrgetter("top")
+_LINE = attrgetter("line")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over n_qubits, with a per-qubit measurement-basis tag.
@@ -126,8 +140,8 @@ class Circuit:
         object.__setattr__(self, "measure_basis", basis)
         # The largest index over all gates, found in C; the loop only names
         # the first gate out of range.
-        if self.gates and max(map(max, map(attrgetter("qubits"), self.gates))) >= self.n_qubits:
-            g = next(g for g in self.gates if max(g.qubits) >= self.n_qubits)
+        if self.gates and max(map(_TOP, self.gates)) >= self.n_qubits:
+            g = next(g for g in self.gates if g.top >= self.n_qubits)
             raise ValueError(f"gate {g.kind} index out of range for {self.n_qubits} qubits")
 
     def with_gates(self, gates) -> "Circuit":
@@ -201,6 +215,19 @@ def ghz_circuit(n: int, target_phase: float = 0.0, control: int = 0) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def measured_in(c: Circuit, basis: tuple[str, ...]) -> Circuit:
+    """c measured in the given per-qubit bases, lowered onto Z measurement:
+    H for x, S-dagger then H for y, nothing for z, appended in ascending
+    qubit order; every tag of the result is z. c's own tags are ignored."""
+    gates = list(c.gates)
+    for q, b in enumerate(basis):
+        if b == "y":
+            gates.append(sdg(q))
+        if b != "z":
+            gates.append(h(q))
+    return Circuit(c.n_qubits, tuple(gates), ("z",) * c.n_qubits)
+
+
 def with_setting(c: Circuit, setting: MeasurementSetting) -> Circuit:
     """Append basis-change gates for the setting and reset tags to z.
 
@@ -209,21 +236,13 @@ def with_setting(c: Circuit, setting: MeasurementSetting) -> Circuit:
     """
     if setting.n_qubits != c.n_qubits:
         raise ValueError("setting and circuit qubit counts differ")
-    gates = list(c.gates)
-    for q in range(c.n_qubits):
-        if setting.primed(q):
-            gates.append(sdg(q))
-        gates.append(h(q))
-    return Circuit(c.n_qubits, tuple(gates), ("z",) * c.n_qubits)
+    return measured_in(c, tuple("y" if setting.primed(q) else "x" for q in range(c.n_qubits)))
 
 
 def serialize_circuit(c: Circuit) -> str:
     """Render the text form; the measure line is always emitted."""
-    lines = [f"qubits {c.n_qubits}"]
-    for g in c.gates:
-        lines.append(" ".join([g.kind] + [str(q) for q in g.qubits]))
-    lines.append("measure " + " ".join(c.measure_basis))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"qubits {c.n_qubits}", *map(_LINE, c.gates),
+                      "measure " + " ".join(c.measure_basis), ""])
 
 
 def parse_circuit(text: str) -> Circuit:

@@ -10,6 +10,11 @@ from .noise import NoiseModel
 from .transpile import DeviceModel, default_device
 
 
+# Sampling costs about 12 ns per shot, so this cap turns a mistyped count
+# (one with a few digits too many) into an error instead of hours of work.
+MAX_SHOTS = 2**30
+
+
 class ConfigError(ValueError):
     def __init__(self, what: str, line: int):
         super().__init__(f"{what}, line {line}")
@@ -94,6 +99,8 @@ def parse_config(text: str) -> RunConfig:
     shots = DEFAULT_SHOTS[n] if got is None else _parse_int(got[0], "shots", got[1])
     if shots < 1:
         raise ConfigError("shots must be >= 1", got[1])
+    if shots > MAX_SHOTS:
+        raise ConfigError(f"shots must be <= {MAX_SHOTS}", got[1])
 
     got = lookup("", "seed")
     seed = 0 if got is None else _parse_int(got[0], "seed", got[1])

@@ -2,24 +2,27 @@
 CNOT target (star topology), Z-basis-only measurement, and phase gates
 relocated to the most robust qubit.
 
-Pass order is fixed: phase placement, then CNOT reversal, then peephole
-cancellation. Reversal and cancellation preserve the full unitary. Phase
-placement preserves the prepared state (the action on |0...0>): relocating a
+transpile first lowers x/y measurement tags to basis-change gates, then
+runs the passes in a fixed order: phase placement, then CNOT reversal, then
+peephole cancellation. Reversal and cancellation preserve the full unitary.
+Phase placement preserves the prepared state (the action on |0...0>): relocating a
 diagonal gate across qubits is only an identity on the two-dimensional
 GHZ-diagonal subspace, so a relocated circuit is not unitary-equal to its
 input, but produces the same state and hence the same outcome distribution.
 Placement and reversal commute: reversal rewrites only CNOTs, each into the
 same unitary, and placement rewrites only the qubit of a phase gate, so the
 state at every phase gate is the same in either order. Placing first spares
-the placement scan the four H gates of every reversed CNOT.
+the placement scan the four H gates of every reversed CNOT, and the scan
+also skips inverse pairs that are adjacent on their wires.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .circuits import PHASE_KINDS, Circuit, Gate, cnot, gate, h
+from .circuits import PHASE_KINDS, Circuit, Gate, cnot, gate, h, measured_in
 from .statevector import _apply_gate_inplace
 
 
@@ -102,17 +105,12 @@ def reverse_cnot_pass(c: Circuit, d: DeviceModel) -> Circuit:
     return c.with_gates(out)
 
 
-_INVERSE_PAIRS = frozenset(
-    {("h", "h"), ("x", "x"), ("s", "sdg"), ("sdg", "s"), ("t", "tdg"), ("tdg", "t")}
-)
+# The kind that undoes each kind on the same qubits, in the same order.
+_INVERSE = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
 
 
 def _inverse_pair(a: Gate, b: Gate) -> bool:
-    if a.qubits != b.qubits:
-        return False
-    if a.kind == "cnot":
-        return b.kind == "cnot"
-    return (a.kind, b.kind) in _INVERSE_PAIRS
+    return a.qubits == b.qubits and _INVERSE[a.kind] == b.kind
 
 
 def _next_touching(masks: list[int], i: int) -> int | None:
@@ -123,13 +121,16 @@ def _next_touching(masks: list[int], i: int) -> int | None:
     return None
 
 
+_MASK = attrgetter("mask")
+
+
 def cancel_adjacent_pass(c: Circuit) -> Circuit:
     """Remove inverse pairs that are adjacent after commuting each gate past
     gates on disjoint qubits. Runs to a fixpoint; deterministic left-to-right
     scan order."""
     gates = list(c.gates)
-    # Qubit bitmask of each gate (one or two qubits), kept in step with gates.
-    masks = [(1 << g.qubits[0]) | (1 << g.qubits[-1]) for g in gates]
+    # Qubit bitmask of each gate, kept in step with gates.
+    masks = list(map(_MASK, gates))
     changed = True
     while changed:
         changed = False
@@ -152,7 +153,14 @@ def _movable_phase_positions(c: Circuit) -> list[int]:
     diagonal phase gate there acts identically on every qubit. A phase gate
     moves no probability mass, so the gates of a run of consecutive phase
     gates share the verdict of the run's first gate, and the mass is checked
-    once per run. The scan stops at the last phase gate."""
+    once per run. The scan stops at the last phase gate.
+
+    Gates are applied lazily: they wait in a pending list until the next
+    run start, the only point where the state is read. A gate that is the
+    inverse of the pending gate on top of every one of its wires cancels it,
+    and neither is simulated. Such a pair is adjacent on all its wires with
+    no read between its gates, so every state read is unchanged up to
+    rounding."""
     phases = [i for i, g in enumerate(c.gates) if g.kind in PHASE_KINDS]
     if not phases:
         return []
@@ -162,16 +170,36 @@ def _movable_phase_positions(c: Circuit) -> list[int]:
     last = (1 << n) - 1
     out = []
     movable = None  # verdict of the current run of phase gates
+    pending: list[Gate | None] = []
+    stacks: list[list[int]] = [[] for _ in range(n)]  # pending indices per wire
     for i, g in enumerate(c.gates[: phases[-1] + 1]):
         if g.kind not in PHASE_KINDS:
             movable = None
-        else:
-            if movable is None:
-                off = float(np.vdot(amps, amps).real - abs(amps[0]) ** 2 - abs(amps[last]) ** 2)
-                movable = off <= 1e-9
-            if movable:
-                out.append(i)
-        _apply_gate_inplace(amps, g, n)
+        elif movable is None:
+            for p in pending:
+                if p is not None:
+                    _apply_gate_inplace(amps, p, n)
+            pending = []
+            stacks = [[] for _ in range(n)]
+            off = float(np.vdot(amps, amps).real - abs(amps[0]) ** 2 - abs(amps[last]) ** 2)
+            movable = off <= 1e-9
+        if movable:
+            out.append(i)
+        qubits = g.qubits
+        wire = stacks[qubits[0]]
+        if wire:
+            j = wire[-1]
+            p = pending[j]
+            # A gate has one or two qubits: the first and the last.
+            if p.qubits == qubits and _INVERSE[p.kind] == g.kind and stacks[qubits[-1]][-1] == j:
+                pending[j] = None
+                for q in qubits:
+                    stacks[q].pop()
+                continue
+        j = len(pending)
+        for q in qubits:
+            stacks[q].append(j)
+        pending.append(g)
     return out
 
 
@@ -203,16 +231,20 @@ def constraint_violations(c: Circuit, d: DeviceModel) -> list[str]:
 
 
 def transpile(c: Circuit, d: DeviceModel) -> tuple[Circuit, TranspileReport]:
+    """Lower c onto d: x/y measurement tags become basis-change gates (see
+    measured_in) and z tags, then the passes run in the order above. The
+    report's gate_count_before is c's own gate count."""
     _check_sizes(c, d)
     # Also rejects a star-illegal circuit before the placement scan runs.
     reversed_count = sum(1 for g in c.gates if g.kind == "cnot" and _needs_reversal(g, d))
-    c1 = place_phase_pass(c, d)
+    c0 = c if set(c.measure_basis) == {"z"} else measured_in(c, c.measure_basis)
+    c1 = place_phase_pass(c0, d)
     c2 = reverse_cnot_pass(c1, d)
     c3 = cancel_adjacent_pass(c2)
     report = TranspileReport(
         gate_count_before=len(c.gates),
         gate_count_after=len(c3.gates),
         added_h_count=4 * reversed_count,
-        phase_host_qubit=d.robustness_rank[0] if c1 is not c else -1,
+        phase_host_qubit=d.robustness_rank[0] if c1 is not c0 else -1,
     )
     return c3, report

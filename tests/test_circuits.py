@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,20 @@ def test_gate_qubits_are_plain_ints():
     assert serialize_circuit(Circuit(2, (gate("x", (1,)),))) == "qubits 2\nx 1\nmeasure z z\n"
     with pytest.raises(TypeError):
         Gate("h", (1.5,))
+
+
+def test_gate_derived_fields():
+    """line, top and mask are derived from kind and qubits, recomputed by
+    dataclasses.replace, and take no part in repr, equality or hashing."""
+    for g in (h(1), cnot(3, 0), gate("sdg", (9,))):
+        assert serialize_circuit(Circuit(10, (g,))).splitlines()[1] == g.line
+    assert cnot(3, 0).line == "cnot 3 0"
+    assert (cnot(3, 0).top, cnot(3, 0).mask) == (3, 0b1001)
+    assert (h(1).top, h(1).mask) == (1, 0b10)
+    assert repr(h(1)) == "Gate(kind='h', qubits=(1,))"
+    moved = dataclasses.replace(h(1), qubits=(2,))
+    assert (moved.line, moved.top, moved.mask) == ("h 2", 2, 0b100)
+    assert Gate("h", (1,)) == h(1) and hash(Gate("h", (1,))) == hash(h(1))
 
 
 def test_circuit_validation():

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from merminsim import cli
+from merminsim.circuits import parse_circuit
 from merminsim.cli import main
+from merminsim.transpile import DeviceModel, constraint_violations
 
 from conftest import FIXTURES
 
@@ -87,6 +89,16 @@ def test_transpile_files_and_report(capsys, tmp_path):
         "added_h_count": 0,
         "phase_host_qubit": -1,
     }
+
+
+def test_transpile_lowers_xy_measurement(capsys, tmp_path):
+    src = tmp_path / "tagged.qc"
+    src.write_text("qubits 3\nh 0\ncnot 0 1\ncnot 0 2\nmeasure x y z\n")
+    code, out, _ = run_cli(capsys, "transpile", str(src), "--cnot-target", "0")
+    assert code == 0
+    lowered = parse_circuit(out)
+    assert lowered.measure_basis == ("z", "z", "z")
+    assert constraint_violations(lowered, DeviceModel(3, cnot_target=0)) == []
 
 
 def test_transpile_rank_flag(capsys):

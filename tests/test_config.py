@@ -75,6 +75,7 @@ def test_prep_phase_quarter_turns():
         ("n = 3\n[weird]\n", "unknown section [weird]", 2),
         ("n = 3\nshots 10\n", "expected key = value", 2),
         ("n = 3\nshots = 0\n", "shots must be >= 1", 2),
+        ("n = 3\n\nshots = 1073741825\n", "shots must be <= 1073741824", 3),
         ("n = 3\nshots = 10\nseed = -8\n", "seed must be >= 0", 3),
         ("n = 3\nmode = fast\n", "mode must be exact or sampled", 2),
         ("n = 3\nreduction = none\n", "reduction must be classes or full-terms", 2),

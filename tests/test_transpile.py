@@ -41,7 +41,9 @@ from merminsim.transpile import (
 from conftest import (
     FIXTURE_DEVICES,
     FIXTURES,
+    kron_chain,
     oracle_cnot,
+    oracle_state,
     oracle_unitary,
     reference_cancel_adjacent_pass,
     reference_movable_phase_positions,
@@ -142,6 +144,25 @@ def test_cancel_pass_preserves_unitary_and_shrinks(c):
     out = cancel_adjacent_pass(c)
     assert len(out.gates) <= len(c.gates)
     assert unitary_equivalent(c, out)
+
+
+def test_scan_elides_wire_adjacent_inverse_pairs(monkeypatch):
+    """The scan never simulates an inverse pair adjacent on its wires, and
+    applies held gates before each run start reads the state: t 0 and tdg 0
+    are inverses split only by h 2, but tdg 0 starts a run."""
+    c = parse_circuit("qubits 3\nh 0\nh 0\ncnot 1 0\ncnot 1 0\nx 2\nx 2\n"
+                      "s 1\nh 2\nt 0\nh 2\ntdg 0\n")
+    module = sys.modules[transpile.__module__]
+    applied = []
+    kernel = module._apply_gate_inplace
+
+    def counting(amps, g, n):
+        applied.append(g)
+        kernel(amps, g, n)
+
+    monkeypatch.setattr(module, "_apply_gate_inplace", counting)
+    assert _movable_phase_positions(c) == reference_movable_phase_positions(c) == [6, 10]
+    assert applied == [s(1), h(2), t(0), h(2)]
 
 
 def test_passes_emit_interned_gates():
@@ -334,6 +355,37 @@ def test_transpile_distribution_matches_oracle():
     assert np.allclose(got, want, atol=1e-12)
 
 
+# Rows are the conjugated eigenvectors of each basis, outcome bit 0 first
+# (the +1 eigenvector), so row b of the product is <b| in that basis.
+_BASIS_ROWS = {
+    "x": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "y": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2),
+    "z": np.eye(2, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transpile_lowers_measurement_tags(seed):
+    """A circuit tagged x/y comes out tagged z only, legal for the device,
+    and with the outcome distribution of the input measured in its tags."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    hub = int(rng.integers(n))
+    prep = ghz_circuit(n, int(rng.integers(8)) * math.pi / 4, control=hub)
+    tags = tuple(str(b) for b in rng.choice(["x", "y", "z"], size=n))
+    c = Circuit(n, prep.gates + (h(int(rng.integers(n))),), tags)
+    device = DeviceModel(n, cnot_target=hub,
+                         robustness_rank=tuple(int(q) for q in rng.permutation(n)))
+    out, report = transpile(c, device)
+    assert out.measure_basis == ("z",) * n
+    assert constraint_violations(out, device) == []
+    assert report.gate_count_before == len(c.gates)
+    assert report.added_h_count == 4 * (n - 1)  # every fan-out CNOT is reversed
+    want = np.abs(kron_chain([_BASIS_ROWS[b] for b in tags]) @ oracle_state(c)) ** 2
+    got = outcome_distribution(simulate_circuit(out)).probabilities
+    assert np.allclose(got, want, atol=1e-12)
+
+
 _PHASES = ("s", "sdg", "t", "tdg")
 _INVERSE = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 
@@ -342,7 +394,8 @@ _INVERSE = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 def star_circuits(draw):
     """A star-legal circuit of 3-10 qubits and a device with a random hub
     and ranking, built from the padding shapes of the transpile-long
-    workload: inverse pairs, adjacent or split by a gate on other qubits;
+    workload: inverse pairs, adjacent, split by a gate on other qubits, or
+    split by a phase gate that may start a run of the phase scan;
     CNOT pairs in either direction, the wrong one cancelling only after
     reversal; GHZ fan-outs from the hub, every CNOT wrong-direction; and
     runs of phase gates split by an H, an X or a CNOT."""
@@ -356,17 +409,19 @@ def star_circuits(draw):
         return [Gate(kind, (draw(qubit),)) for kind in kinds]
 
     gates = []
-    shapes = draw(st.lists(st.sampled_from(["pair", "split", "cnots", "ghz", "phases"]),
-                           max_size=12))
+    shapes = draw(st.lists(st.sampled_from(["pair", "split", "straddle", "cnots", "ghz",
+                                            "phases"]), max_size=12))
     splitters = st.one_of(st.sampled_from(["h", "x"]).flatmap(
         lambda kind: qubit.map(lambda q: Gate(kind, (q,)))),
         st.sampled_from(others).flatmap(lambda q: st.sampled_from([cnot(hub, q), cnot(q, hub)])))
     for shape in shapes:
-        if shape in ("pair", "split"):
+        if shape in ("pair", "split", "straddle"):
             kind, q = draw(st.sampled_from(sorted(_INVERSE))), draw(qubit)
             first, second = Gate(kind, (q,)), Gate(_INVERSE[kind], (q,))
             if shape == "pair":
                 gates += [first, second]
+            elif shape == "straddle":
+                gates += [first, Gate(draw(st.sampled_from(_PHASES)), (draw(qubit),)), second]
             else:
                 other = draw(st.sampled_from([p for p in range(n) if p != q]))
                 between = Gate(draw(st.sampled_from(["h", "x"])), (other,))
