@@ -29,7 +29,6 @@ from .mermin import (
     bounds_for,
     canonical_polynomial,
     lr_bound,
-    mermin_operator,
     qm_bound,
     recursive_polynomial,
     symmetry_classes,
@@ -46,9 +45,7 @@ from .statevector import (
     DensityMatrix,
     OutcomeDistribution,
     Statevector,
-    apply_gate,
     depolarize_dm,
-    outcome_distribution,
     sample_counts,
     simulate_circuit,
     unitary_equivalent,

@@ -180,8 +180,8 @@ def mask_bit(mask: int, party: int, n: int) -> int:
 def phase_step_count(angle: float) -> int:
     """Reduce an angle to the number of quarter turns k in 0..7; the angle must
     be a multiple of pi/4 within 1e-9."""
-    k = round(angle / QUARTER_TURN)
-    if abs(angle - k * QUARTER_TURN) > 1e-9:
+    k = round(angle / QUARTER_TURN) if math.isfinite(angle) else None
+    if k is None or abs(angle - k * QUARTER_TURN) > 1e-9:
         raise ValueError("phase not a multiple of pi/4")
     return k % 8
 

@@ -30,8 +30,8 @@ from .transpile import DeviceModel, default_device, transpile
 
 # Preparation phases (radians) that attain the positive quantum bound with
 # X as the unprimed and Y as the primed observable, determined against the
-# dense-operator oracle: the expectation over the phase family is sinusoidal
-# and peaks at these points.
+# dense X/Y operator (the tests' dense_operator oracle): the expectation over
+# the phase family is sinusoidal and peaks at these points.
 PREP_PHASES_MAX = {3: math.pi / 2, 4: 3 * math.pi / 4, 5: math.pi}
 
 # Documented alternate phases. For n=4 and n=5 these attain the bound with

@@ -4,6 +4,10 @@ and the classical and quantum bounds.
 A polynomial over n parties is a signed sum of correlation terms. Each term
 is stored as (integer coefficient, prime_mask): bit i of the mask set (read
 MSB-first, party 0 leftmost) means party i uses its primed observable.
+
+Both bounds are the peak magnitude of one Walsh-Hadamard transform of the
+coefficients (Werner & Wolf, PRA 64, 032112 (2001); Zukowski & Brukner,
+PRL 88, 210401 (2002)), computed exactly in pure Python.
 """
 from __future__ import annotations
 
@@ -13,17 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .statevector import MAX_DM_QUBITS
-
-MAX_LR_PARTIES = 8
-
-# Observables substituted for the unprimed (X) and primed (Y) settings.
-SETTING_OBSERVABLES = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-)
+from .circuits import MAX_QUBITS
 
 # Signs per prime count for the three hard-coded polynomials, from the forms
 # with all-unit coefficients: n=3 has the four terms with 1 or 3 primes, n=4
@@ -125,45 +119,41 @@ def recursive_polynomial(n: int) -> MerminPolynomial:
     return MerminPolynomial(n, out)
 
 
+def _peak_transform(p: MerminPolynomial, weights) -> int | float:
+    """max over b of |W(b)|, with W(b) = sum_m c_m weights[|m| % 4] (-1)^|m & b|
+    the Walsh-Hadamard transform of the weighted coefficients. The sums of
+    small (Gaussian) integers are exact; only a complex abs rounds."""
+    n = p.n_parties
+    if n > MAX_QUBITS:
+        raise ValueError(f"bounds limited to {MAX_QUBITS} parties")
+    vec = [0] * (1 << n)
+    for coeff, mask in p.terms:
+        vec[mask] = coeff * weights[mask.bit_count() % 4]
+    half = 1
+    while half < len(vec):
+        for start in range(0, len(vec), 2 * half):
+            for i in range(start, start + half):
+                a, b = vec[i], vec[i + half]
+                vec[i], vec[i + half] = a + b, a - b
+        half *= 2
+    return max(abs(v) for v in vec)
+
+
 def lr_bound(p: MerminPolynomial) -> int:
-    """Maximum over all deterministic +-1 assignments to every setting,
-    by exhaustive enumeration of 2^(2n) assignments. Exact integers."""
-    n = p.n_parties
-    if n > MAX_LR_PARTIES:
-        raise ValueError(f"exhaustive enumeration limited to {MAX_LR_PARTIES} parties")
-    assigns = np.arange(1 << (2 * n), dtype=np.int64)
-    total = np.zeros(assigns.shape, dtype=np.int64)
-    for coeff, mask in p.terms:
-        prod = np.full(assigns.shape, coeff, dtype=np.int64)
-        for party in range(n):
-            primed = (mask >> (n - 1 - party)) & 1
-            bit = (assigns >> (2 * party + primed)) & 1
-            prod *= 1 - 2 * bit
-        total += prod
-    return int(total.max())
-
-
-def mermin_operator(p: MerminPolynomial) -> np.ndarray:
-    """Hermitian operator obtained by substituting X for every unprimed and
-    Y for every primed setting. MSB-first kron order."""
-    n = p.n_parties
-    if n > MAX_DM_QUBITS:
-        raise ValueError("dimension overflow")
-    dim = 1 << n
-    total = np.zeros((dim, dim), dtype=complex)
-    for coeff, mask in p.terms:
-        factor = np.array([[1.0 + 0j]])
-        for party in range(n):
-            primed = (mask >> (n - 1 - party)) & 1
-            factor = np.kron(factor, SETTING_OBSERVABLES[primed])
-        total += coeff * factor
-    return total
+    """Maximum over all deterministic +-1 assignments to every setting.
+    Writing each primed value as a'_i = a_i s_i turns the polynomial into
+    (prod a_i) * W(s) with W the transform of the coefficients, and the sign
+    of prod a_i is free: the bound is max |W|. Exact integers."""
+    return _peak_transform(p, (1, 1, 1, 1))
 
 
 def qm_bound(p: MerminPolynomial) -> float:
-    """Largest eigenvalue magnitude of the Mermin operator (covers both signs
-    of violation)."""
-    return float(np.abs(np.linalg.eigvalsh(mermin_operator(p))).max())
+    """Largest eigenvalue magnitude of the operator that substitutes X for
+    every unprimed and Y for every primed setting (covers both signs of
+    violation). As Y|b> = i(-1)^b |not b>, the operator maps |b> to
+    W(b)|not b>, W the transform of c_m i^|m|; each 2x2 block {b, not b}
+    has eigenvalues +-|W(b)|."""
+    return float(_peak_transform(p, (1, 1j, -1, -1j)))
 
 
 def symmetry_classes(p: MerminPolynomial) -> list[SymmetryClass]:

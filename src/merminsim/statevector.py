@@ -70,18 +70,6 @@ class Statevector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def fidelity(self, other: "Statevector") -> float:
-        """|<self|other>|^2; insensitive to global phase."""
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit counts differ")
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
 
 @dataclass(eq=False)
 class OutcomeDistribution:
@@ -99,11 +87,6 @@ class OutcomeDistribution:
             raise ValueError("probabilities out of [0, 1]")
         if not abs(float(self.probabilities.sum()) - 1.0) <= 1e-9:
             raise ValueError("probabilities do not sum to 1")
-
-    def probability(self, bitstring: str) -> float:
-        if len(bitstring) != self.n_qubits:
-            raise ValueError("bitstring length must equal n_qubits")
-        return float(self.probabilities[int(bitstring, 2)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,12 +138,6 @@ class DensityMatrix:
         entries = np.zeros((dim, dim), dtype=complex)
         entries[0, 0] = 1.0
         return cls(n_qubits, entries)
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, self.entries.copy())
 
 
 @lru_cache(maxsize=None)
@@ -241,14 +218,6 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
         np.multiply(GATE_1Q[kind][1, 1], half, out=half)
 
 
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    if any(q >= state.n_qubits for q in gate.qubits):
-        raise ValueError("gate index out of range")
-    out = state.amplitudes.copy()
-    _apply_gate_inplace(out, gate, state.n_qubits)
-    return Statevector(state.n_qubits, out)
-
-
 def simulate_circuit(c: Circuit, initial: Statevector | None = None) -> Statevector:
     """Run the gate list from |0...0> (or the given state). Measurement-basis
     tags are not applied; lowering realizes them as gates."""
@@ -262,11 +231,6 @@ def simulate_circuit(c: Circuit, initial: Statevector | None = None) -> Statevec
     for g in c.gates:
         _apply_gate_inplace(amps, g, c.n_qubits)
     return Statevector(c.n_qubits, amps)
-
-
-def outcome_distribution(state: Statevector) -> OutcomeDistribution:
-    probs = np.abs(state.amplitudes) ** 2
-    return OutcomeDistribution(state.n_qubits, probs)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTable:

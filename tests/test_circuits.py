@@ -111,8 +111,9 @@ def test_phase_step_count(angle, k):
 
 
 def test_phase_step_count_rejects_off_grid():
-    with pytest.raises(ValueError, match="multiple of pi/4"):
-        phase_step_count(math.pi / 3)
+    for angle in (math.pi / 3, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="multiple of pi/4"):
+            phase_step_count(angle)
 
 
 def test_phase_gates_decomposition():

@@ -13,7 +13,6 @@ from merminsim.mermin import (
     bounds_for,
     canonical_polynomial,
     lr_bound,
-    mermin_operator,
     qm_bound,
     recursive_polynomial,
     symmetry_classes,
@@ -54,6 +53,15 @@ def dense_operator(p: MerminPolynomial) -> np.ndarray:
         )
         out += coeff * oracle_pauli_matrix(label)
     return out
+
+
+@st.composite
+def polynomials(draw, max_parties=5):
+    """Arbitrary polynomials: any set of masks, nonzero coefficients in -3..3."""
+    n = draw(st.integers(1, max_parties))
+    terms = draw(st.dictionaries(st.integers(0, (1 << n) - 1),
+                                 st.integers(-3, 3).filter(bool)))
+    return MerminPolynomial(n, tuple((coeff, mask) for mask, coeff in terms.items()))
 
 
 def test_canonical_3():
@@ -129,15 +137,26 @@ def test_lr_bounds_exact(n, expected):
     assert lr_bound(canonical_polynomial(n)) == expected
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lr_bound_matches_brute_force(n):
     p = recursive_polynomial(n)
     assert lr_bound(p) == brute_force_lr(p)
 
 
+@given(polynomials())
+@settings(max_examples=40, deadline=None)
+def test_lr_bound_matches_brute_force_on_any_polynomial(p):
+    assert lr_bound(p) == brute_force_lr(p)
+
+
 def test_lr_bound_party_cap():
-    with pytest.raises(ValueError):
-        lr_bound(MerminPolynomial(9, ((1, 0),)))
+    # Both bounds cover the circuit layer's qubit range and refuse larger
+    # polynomials before allocating the 2^n transform.
+    for n in (11, 40):
+        p = MerminPolynomial(n, ((1, 0),))
+        for bound in (lr_bound, qm_bound):
+            with pytest.raises(ValueError, match="limited to 10 parties"):
+                bound(p)
 
 
 def test_qm_bounds():
@@ -154,33 +173,36 @@ def test_bounds_converge_without_warning():
             bounds_for(n)
 
 
+def dense_qm_bound(p: MerminPolynomial) -> float:
+    return float(np.abs(np.linalg.eigvalsh(dense_operator(p))).max())
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_qm_bound_matches_dense_eigenvalues(n):
     p = recursive_polynomial(n)
-    dense = dense_operator(p)
-    want = float(np.abs(np.linalg.eigvalsh(dense)).max())
-    assert qm_bound(p) == pytest.approx(want, abs=1e-9)
+    assert qm_bound(p) == pytest.approx(dense_qm_bound(p), abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@given(polynomials())
+@settings(max_examples=40, deadline=None)
+def test_qm_bound_matches_dense_eigenvalues_on_any_polynomial(p):
+    # eigvalsh rounds, the transform does not: compare within a tolerance.
+    assert qm_bound(p) == pytest.approx(dense_qm_bound(p), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
 def test_qm_at_least_lr_for_generated_polynomials(n):
     # Closed forms: Mermin, PRL 65, 1838 (1990); Belinskii & Klyshko,
     # Phys. Usp. 36, 653 (1993).
     p = recursive_polynomial(n)
-    assert qm_bound(p) >= lr_bound(p) - 1e-9
+    assert qm_bound(p) >= lr_bound(p)
     assert lr_bound(p) == 2 ** (n // 2)
     want = 2 ** (n - 1) if n % 2 else 2 ** (n - 0.5)
-    assert qm_bound(p) == pytest.approx(want, rel=1e-12)
-
-
-def test_mermin_operator_matches_dense_oracle():
-    for n in (3, 4):
-        p = canonical_polynomial(n)
-        assert np.allclose(mermin_operator(p), dense_operator(p), atol=1e-12)
+    assert qm_bound(p) == want
 
 
 def test_operator_is_hermitian():
-    op = mermin_operator(canonical_polynomial(5))
+    op = dense_operator(canonical_polynomial(5))
     assert np.allclose(op, op.conj().T, atol=1e-12)
 
 
@@ -195,9 +217,8 @@ def test_class_assembly_equals_term_assembly(n):
         for mask in range(1 << n)
         if mask.bit_count() == cls.prime_count
     ]
-    assembled = mermin_operator(MerminPolynomial(n, tuple(terms)))
-    assert np.array_equal(assembled, mermin_operator(p))
-    assert np.allclose(assembled, dense_operator(p), atol=1e-12)
+    assembled = dense_operator(MerminPolynomial(n, tuple(terms)))
+    assert np.array_equal(assembled, dense_operator(p))
 
 
 def test_party_exchange_symmetry():

@@ -25,7 +25,7 @@ from merminsim.noise import (
     degradation_curve,
     noisy_distribution,
 )
-from merminsim.statevector import DensityMatrix, outcome_distribution, simulate_circuit
+from merminsim.statevector import DensityMatrix, simulate_circuit
 
 from conftest import FIXTURES, apply_channel, depolarizing_channel, kron_chain, oracle_unitary
 
@@ -91,7 +91,7 @@ def test_noisy_distribution_single_qubit_oracle():
 def test_zero_noise_equals_ideal_on_fixtures():
     for path in sorted((FIXTURES / "valid").glob("*.qc")):
         c = parse_circuit(path.read_text())
-        ideal = outcome_distribution(simulate_circuit(c)).probabilities
+        ideal = np.abs(simulate_circuit(c).amplitudes) ** 2
         noisy = noisy_distribution(c, ZERO_NOISE).probabilities
         assert np.allclose(noisy, ideal, atol=1e-10)
 

@@ -1,8 +1,23 @@
-"""The package's public surface: the names `import merminsim` exposes."""
+"""The package's public surface: the names `import merminsim` exposes, and
+the names the span tracer in perfbench/ patches."""
 
+import importlib
+import importlib.util
+import inspect
 import types
+from pathlib import Path
 
 import merminsim
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# Positional parameters each tracer hook reads by index and by name.
+HOOK_PARAMETERS = {
+    "mermin.bounds_for": {0: "n"},
+    "noise.noisy_distribution": {0: "c", 1: "m"},
+    "statevector.sample_counts": {1: "shots"},
+    "transpile.transpile": {0: "c", 1: "d"},
+}
 
 # Removing a name from this set is an API change: state it in CHANGES.md.
 PUBLIC_NAMES = {
@@ -11,10 +26,9 @@ PUBLIC_NAMES = {
     "MerminEstimate", "MerminPolynomial", "NoiseModel", "OutcomeDistribution",
     "RunConfig", "StarTopologyError", "Statevector", "SymmetryClass",
     "TranspileReport", "ZERO_NOISE",
-    "apply_gate", "bounds_for", "build_plan", "calibrate_depol_2q",
-    "cancel_adjacent_pass", "canonical_polynomial", "combine", "default_device",
-    "degradation_curve", "depolarize_dm", "full_term_run", "ghz_circuit", "lr_bound",
-    "mermin_operator", "noisy_distribution", "outcome_distribution",
+    "bounds_for", "build_plan", "calibrate_depol_2q", "cancel_adjacent_pass",
+    "canonical_polynomial", "combine", "default_device", "degradation_curve",
+    "depolarize_dm", "full_term_run", "ghz_circuit", "lr_bound", "noisy_distribution",
     "parity_expectation", "parity_expectation_probs", "parse_circuit", "parse_config",
     "place_phase_pass", "qm_bound", "recursive_polynomial", "reverse_cnot_pass",
     "run_plan", "sample_counts", "serialize_circuit", "simulate_circuit",
@@ -28,3 +42,20 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exposed == PUBLIC_NAMES
+
+
+def test_traced_names_exist():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"merminsim.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    assert set(tracer.HOOKS) == set(HOOK_PARAMETERS)
+    for key, wanted in HOOK_PARAMETERS.items():
+        layer, name = key.split(".")
+        fn = getattr(importlib.import_module(f"merminsim.{layer}"), name)
+        assert callable(fn), key
+        params = list(inspect.signature(fn).parameters)
+        assert {i: params[i] for i in wanted} == wanted, key

@@ -21,7 +21,6 @@ from merminsim.circuits import (
 )
 from merminsim.statevector import (
     circuit_unitary,
-    outcome_distribution,
     simulate_circuit,
     unitary_equivalent,
 )
@@ -351,7 +350,7 @@ def test_transpile_distribution_matches_oracle():
     start = np.zeros(8, dtype=complex)
     start[0] = 1.0
     want = np.abs(dense @ start) ** 2
-    got = outcome_distribution(simulate_circuit(out)).probabilities
+    got = np.abs(simulate_circuit(out).amplitudes) ** 2
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -382,7 +381,7 @@ def test_transpile_lowers_measurement_tags(seed):
     assert report.gate_count_before == len(c.gates)
     assert report.added_h_count == 4 * (n - 1)  # every fan-out CNOT is reversed
     want = np.abs(kron_chain([_BASIS_ROWS[b] for b in tags]) @ oracle_state(c)) ** 2
-    got = outcome_distribution(simulate_circuit(out)).probabilities
+    got = np.abs(simulate_circuit(out).amplitudes) ** 2
     assert np.allclose(got, want, atol=1e-12)
 
 
