@@ -12,8 +12,10 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 from operator import attrgetter, index
 
 GATE_KINDS = {
@@ -73,13 +75,32 @@ class Gate:
         object.__setattr__(self, "mask", sum(1 << q for q in self.qubits))
 
 
+# Gates on qubits below this are built at import and kept for the life of
+# the process: they cover every circuit (MAX_QUBITS) and the doubled
+# density-matrix vector (2 * statevector.MAX_DM_QUBITS).
+PINNED_QUBITS = 12
+
+_PINNED = {
+    (g.kind, g.qubits): g
+    for g in [Gate(kind, (q,)) for kind, arity in GATE_KINDS.items() if arity == 1
+              for q in range(PINNED_QUBITS)]
+    + [Gate("cnot", pair) for pair in permutations(range(PINNED_QUBITS), 2)]
+}
+
+
 @lru_cache(maxsize=1024)
-def gate(kind: str, qubits: tuple[int, ...]) -> Gate:
-    """The process-wide Gate for (kind, qubits), built and validated on first
-    use. A gate that fails validation raises on every call and is never
-    stored. The 204 gates on qubits below 12 (the doubled density-matrix
-    vector) are never evicted; the bound caps what other callers can add."""
+def _unpinned_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     return Gate(kind, qubits)
+
+
+def gate(kind: str, qubits: tuple[int, ...]) -> Gate:
+    """The process-wide Gate for (kind, qubits). The 204 gates on qubits
+    below PINNED_QUBITS are built at import and never evicted. Any other
+    gate is built and validated on first use and kept in a cache of 1,024,
+    which caps what callers with large indices can add; such a gate is one
+    object only while it stays cached. A gate that fails validation raises
+    on every call and is never stored."""
+    return _PINNED.get((kind, qubits)) or _unpinned_gate(kind, qubits)
 
 
 def h(q: int) -> Gate:
@@ -248,66 +269,104 @@ def serialize_circuit(c: Circuit) -> str:
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented format.
 
-    First significant line must be ``qubits N``; then one gate per line
-    (lowercase mnemonic, space-separated indices); ``#`` starts a comment;
-    an optional final ``measure x y z ...`` line sets the basis tags.
+    ``#`` starts a comment, which ends at any line break ``str.splitlines``
+    knows; blank lines are skipped. The first significant line must be
+    ``qubits N``; then one gate per line (mnemonic, whitespace-separated
+    indices read with ``int()``); an optional final ``measure x y z ...``
+    line sets the basis tags. Mnemonics, ``qubits``, ``measure`` and basis
+    tags are case-insensitive. A malformed line raises CircuitFormatError
+    with its 1-based line number.
+
+    A line spelt exactly as ``Gate.line`` resolves with one lookup in the
+    table of its qubit count. Each other distinct line is resolved once; if
+    lower-casing its mnemonic and joining its tokens with single spaces
+    gives a table line, that is its gate, and otherwise the per-line checks
+    run. Line numbers are worked out only when raising.
     """
-    n_qubits = None
-    gates: list[Gate] = []
-    basis: tuple[str, ...] | None = None
-    # The Gate of each distinct gate line. A line that fails is never stored,
-    # and only a measure line above can make a stored one fail.
-    by_line: dict[str, Gate] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        g = by_line.get(line)
-        if g is not None and basis is None:
-            gates.append(g)
-            continue
+    lines = list(filter(None, _stripped_lines(text)))
+    if not lines:
+        raise CircuitFormatError("missing qubits header", 1)
+    tokens = lines[0].split()
+    if tokens[0].lower() != "qubits":
+        raise CircuitFormatError("missing qubits header", _line_number(text, 0))
+    if len(tokens) != 2 or not _is_int(tokens[1]) or not 1 <= int(tokens[1]) <= MAX_QUBITS:
+        raise CircuitFormatError("bad qubit count", _line_number(text, 0))
+    n_qubits = int(tokens[1])
+    table = _gate_lines(n_qubits)
+    body = lines[1:]
+    # Each distinct other line maps to its Gate, or to None if what it means
+    # depends on where it stands: a header, a measure line or a bad line.
+    other = {}
+    for line in set(body).difference(table):
         tokens = line.split()
         head = tokens[0].lower()
-        if n_qubits is None:
-            if head != "qubits":
-                raise CircuitFormatError("missing qubits header", lineno)
-            if len(tokens) != 2 or not _is_int(tokens[1]):
-                raise CircuitFormatError("bad qubit count", lineno)
-            n_qubits = int(tokens[1])
-            if not 1 <= n_qubits <= MAX_QUBITS:
-                raise CircuitFormatError("bad qubit count", lineno)
-            continue
-        if head == "qubits":
-            raise CircuitFormatError("duplicate qubits header", lineno)
-        if basis is not None:
-            raise CircuitFormatError("gate after measure", lineno)
-        if head == "measure":
-            tags = tuple(tok.lower() for tok in tokens[1:])
-            if len(tags) != n_qubits:
-                raise CircuitFormatError("qubit count mismatch", lineno)
-            if any(tag not in BASIS_TAGS for tag in tags):
-                raise CircuitFormatError("bad basis", lineno)
-            basis = tags
-            continue
-        if head not in GATE_KINDS:
-            raise CircuitFormatError("unknown mnemonic", lineno)
-        if len(tokens) - 1 != GATE_KINDS[head]:
-            raise CircuitFormatError("bad index", lineno)
-        idx = []
-        for tok in tokens[1:]:
-            if not _is_int(tok):
-                raise CircuitFormatError("bad index", lineno)
-            q = int(tok)
-            if not 0 <= q < n_qubits:
-                raise CircuitFormatError("bad index", lineno)
-            idx.append(q)
-        if head == "cnot" and idx[0] == idx[1]:
-            raise CircuitFormatError("duplicate qubit", lineno)
-        g = by_line[line] = gate(head, tuple(idx))
-        gates.append(g)
-    if n_qubits is None:
-        raise CircuitFormatError("missing qubits header", 1)
+        g = table.get(" ".join([head, *tokens[1:]]))
+        if g is None and head != "measure" and _line_error(head, tokens, n_qubits) is None:
+            g = gate(head, tuple(map(int, tokens[1:])))
+        other[line] = g
+    gates = list(map({**table, **other}.__getitem__, body))
+    basis = None
+    if None in other.values():
+        # Every line before the first None is a gate.
+        i = next(i for i, g in enumerate(gates) if g is None)
+        tokens = body[i].split()
+        what = _line_error(tokens[0].lower(), tokens, n_qubits)
+        if what is not None:
+            raise CircuitFormatError(what, _line_number(text, i + 1))
+        # A good measure line, which must be the last one.
+        if i + 1 < len(body):
+            after = body[i + 1].split()[0].lower()
+            raise CircuitFormatError("duplicate qubits header" if after == "qubits"
+                                     else "gate after measure", _line_number(text, i + 2))
+        basis = tuple(tok.lower() for tok in tokens[1:])
+        del gates[i]
     return Circuit(n_qubits, tuple(gates), basis)
+
+
+# From a "#" to the end of its line: the class holds every line break that
+# str.splitlines knows. A match becomes one space, not nothing, so that a
+# comment between "\r" and "\n" cannot join them into one line break.
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _stripped_lines(text: str):
+    """Every line of the text without its comment and surrounding space."""
+    return map(str.strip, _COMMENT.sub(" ", text).splitlines())
+
+
+def _line_number(text: str, k: int) -> int:
+    """The 1-based line number of the k-th (from 0) significant line."""
+    return [i for i, line in enumerate(_stripped_lines(text), start=1) if line][k]
+
+
+@lru_cache(maxsize=None)
+def _gate_lines(n_qubits: int) -> dict[str, Gate]:
+    """{Gate.line: Gate} for every gate on qubits below n_qubits."""
+    return {g.line: g for g in _PINNED.values() if g.top < n_qubits}
+
+
+def _line_error(head: str, tokens: list[str], n_qubits: int) -> str | None:
+    """Why a line after the header, with this lower-cased head and these
+    tokens, is malformed in an n_qubits circuit wherever it stands, or None.
+    A measure line is checked as one, any other line as a gate."""
+    if head == "qubits":
+        return "duplicate qubits header"
+    if head == "measure":
+        if len(tokens) - 1 != n_qubits:
+            return "qubit count mismatch"
+        if any(tok.lower() not in BASIS_TAGS for tok in tokens[1:]):
+            return "bad basis"
+        return None
+    if head not in GATE_KINDS:
+        return "unknown mnemonic"
+    if len(tokens) - 1 != GATE_KINDS[head] or not all(map(_is_int, tokens[1:])):
+        return "bad index"
+    idx = list(map(int, tokens[1:]))
+    if not all(0 <= q < n_qubits for q in idx):
+        return "bad index"
+    if head == "cnot" and idx[0] == idx[1]:
+        return "duplicate qubit"
+    return None
 
 
 def _is_int(tok: str) -> bool:

@@ -4,9 +4,9 @@ The oracle builds every unitary from literal 2x2 matrices and explicit
 Kronecker products, with no code shared with the package kernels, so
 agreement between the two is meaningful. Noise channels are given by Kraus
 operators and applied as sums of tensor contractions, the reference for the
-package's closed-form depolarizing. The gate kernel and two transpiler
-passes are kept here in their first, plainer form as references for the
-package's faster ones.
+package's closed-form depolarizing. The gate kernel, two transpiler passes
+and the circuit parser are kept here in their first, plainer form as
+references for the package's faster ones.
 """
 
 from __future__ import annotations
@@ -19,7 +19,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from merminsim.circuits import PHASE_KINDS
+from merminsim.circuits import (
+    BASIS_TAGS,
+    GATE_KINDS,
+    MAX_QUBITS,
+    PHASE_KINDS,
+    Circuit,
+    CircuitFormatError,
+    Gate,
+    _is_int,
+    gate,
+)
 from merminsim.statevector import GATE_1Q, DensityMatrix, _apply_gate_inplace
 from merminsim.transpile import DeviceModel
 
@@ -271,6 +281,70 @@ def reference_cancel_adjacent_pass(circuit):
             else:
                 i += 1
     return circuit.with_gates(gates)
+
+
+def reference_parse_circuit(text: str) -> Circuit:
+    """The circuit parser in its line-by-line form: every line is stripped,
+    tokenised and checked in file order, with a per-call cache of the Gate
+    of each distinct gate line. The package parser must give the same
+    circuit, with the same Gate objects, or raise the same error on the
+    same line."""
+    n_qubits = None
+    gates: list[Gate] = []
+    basis: tuple[str, ...] | None = None
+    # The Gate of each distinct gate line. A line that fails is never stored,
+    # and only a measure line above can make a stored one fail.
+    by_line: dict[str, Gate] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        g = by_line.get(line)
+        if g is not None and basis is None:
+            gates.append(g)
+            continue
+        tokens = line.split()
+        head = tokens[0].lower()
+        if n_qubits is None:
+            if head != "qubits":
+                raise CircuitFormatError("missing qubits header", lineno)
+            if len(tokens) != 2 or not _is_int(tokens[1]):
+                raise CircuitFormatError("bad qubit count", lineno)
+            n_qubits = int(tokens[1])
+            if not 1 <= n_qubits <= MAX_QUBITS:
+                raise CircuitFormatError("bad qubit count", lineno)
+            continue
+        if head == "qubits":
+            raise CircuitFormatError("duplicate qubits header", lineno)
+        if basis is not None:
+            raise CircuitFormatError("gate after measure", lineno)
+        if head == "measure":
+            tags = tuple(tok.lower() for tok in tokens[1:])
+            if len(tags) != n_qubits:
+                raise CircuitFormatError("qubit count mismatch", lineno)
+            if any(tag not in BASIS_TAGS for tag in tags):
+                raise CircuitFormatError("bad basis", lineno)
+            basis = tags
+            continue
+        if head not in GATE_KINDS:
+            raise CircuitFormatError("unknown mnemonic", lineno)
+        if len(tokens) - 1 != GATE_KINDS[head]:
+            raise CircuitFormatError("bad index", lineno)
+        idx = []
+        for tok in tokens[1:]:
+            if not _is_int(tok):
+                raise CircuitFormatError("bad index", lineno)
+            q = int(tok)
+            if not 0 <= q < n_qubits:
+                raise CircuitFormatError("bad index", lineno)
+            idx.append(q)
+        if head == "cnot" and idx[0] == idx[1]:
+            raise CircuitFormatError("duplicate qubit", lineno)
+        g = by_line[line] = gate(head, tuple(idx))
+        gates.append(g)
+    if n_qubits is None:
+        raise CircuitFormatError("missing qubits header", 1)
+    return Circuit(n_qubits, tuple(gates), basis)
 
 
 @pytest.fixture(scope="session")

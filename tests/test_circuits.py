@@ -10,6 +10,8 @@ from merminsim.circuits import (
     CircuitFormatError,
     Gate,
     MeasurementSetting,
+    _PINNED,
+    _unpinned_gate,
     cnot,
     gate,
     ghz_circuit,
@@ -24,7 +26,7 @@ from merminsim.circuits import (
 )
 from merminsim.statevector import simulate_circuit
 
-from conftest import FIXTURES, oracle_state
+from conftest import FIXTURES, oracle_state, reference_parse_circuit
 
 
 def test_gate_validation():
@@ -46,8 +48,20 @@ def test_gates_are_interned():
     assert s(0) is with_setting(ghz_circuit(2, math.pi / 2), MeasurementSetting(2, 0)).gates[2]
 
 
+def test_pinned_gates_survive_a_full_cache():
+    """Gates on qubits below 12 are never evicted, however many larger-index
+    gates pass through the bounded cache, and the parser hands out the same
+    objects."""
+    first = h(0)
+    for q in range(12, 12 + 1100):
+        gate("x", (q,))
+    assert h(0) is first is parse_circuit("qubits 1\nh 0\n").gates[0]
+    assert cnot(11, 10) is gate("cnot", (11, 10)) is _PINNED["cnot", (11, 10)]
+    assert len(_PINNED) == 204
+
+
 def test_rejected_gate_raises_every_time():
-    size = gate.cache_info().currsize
+    size = len(_PINNED), _unpinned_gate.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError, match="duplicate qubit"):
             gate("cnot", (1, 1))
@@ -55,7 +69,9 @@ def test_rejected_gate_raises_every_time():
             cnot(1, 1)
         with pytest.raises(ValueError, match="unknown gate kind"):
             gate("rz", (0,))
-    assert gate.cache_info().currsize == size
+        with pytest.raises(ValueError, match="duplicate qubit"):
+            gate("cnot", (20, 20))
+    assert (len(_PINNED), _unpinned_gate.cache_info().currsize) == size
 
 
 def test_gate_qubits_are_plain_ints():
@@ -226,6 +242,12 @@ def test_parse_comments_case_and_blank_lines():
         ("qubits 2\ncnot 1 1\n", "duplicate qubit", 2),
         # The first h 0 is stored; its repeat after measure must still fail.
         ("qubits 2\nh 0\nmeasure z z\nh 0\n", "gate after measure", 4),
+        ("qubits 2\nmeasure z z\nqubits 2\n", "duplicate qubits header", 3),
+        ("qubits 2\nmeasure z z\nmeasure z z\n", "gate after measure", 3),
+        ("qubits 2\nH 1\nh 1\n\n  # c\ncz 0 1\nh 9\n", "unknown mnemonic", 6),
+        ("\n# c\n  qubits 2 2\n", "bad qubit count", 3),
+        # A comment between "\r" and "\n" leaves two line breaks.
+        ("qubits 2\nh 0\r# c\nh 9\n", "bad index", 4),
     ],
 )
 def test_parse_errors(text, what, line):
@@ -252,6 +274,28 @@ def test_bad_fixture_files(name, what, line):
     with pytest.raises(CircuitFormatError) as err:
         parse_circuit(text)
     assert str(err.value) == f"{what}, line {line}"
+
+
+# Every line break str.splitlines knows.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_comment_ends_at_any_line_break(brk):
+    text = brk.join(["qubits 2 # header", "h 0 # a note", "CNOT 0 1#x", "h 5 # not a gate"])
+    with pytest.raises(CircuitFormatError) as err:
+        parse_circuit(text)
+    assert (err.value.what, err.value.line) == ("bad index", 4)
+    c = parse_circuit(brk.join(["qubits 2 # header", "h 0 # a note", "CNOT 0 1#x", ""]))
+    assert c.gates == (h(0), cnot(0, 1))
+
+
+@pytest.mark.parametrize("line", ["h 01", "h +1", "H   1", "h 1 ", "\th\t1"])
+def test_index_spellings_give_the_interned_gate(line):
+    c = parse_circuit(f"qubits 2\n{line}\n")
+    assert c.gates[0] is h(1)
+    assert serialize_circuit(c) == "qubits 2\nh 1\nmeasure z z\n"
 
 
 def test_serialize_emits_measure_line():
@@ -371,3 +415,61 @@ def test_parse_circuit_fuzz(text):
     assert all(g == Gate(g.kind, g.qubits) for g in c.gates)
     # One Gate object per distinct (kind, qubits).
     assert len({id(g) for g in c.gates}) == len({(g.kind, g.qubits) for g in c.gates})
+
+
+_DEFECTS = ["cz 0 1", "h 10", "h -1", "h x", "cnot 0 0", "cnot 1", "qubits 3", "measure z",
+            "measure z q", "measure " + " ".join("z" * 10), "measure Z X", "MEASURE z z z"]
+
+
+@st.composite
+def workload_texts(draw):
+    """Circuit text as the benchmark writes it: a comment, the header, gate
+    lines in upper case, with padded spaces, comments or other index
+    spellings, blank lines, an optional final measure line, and at most one
+    defect at a drawn position; lines end with any line break."""
+    n = draw(st.integers(1, 10))
+    lines = ["# generated", f"qubits {n}"]
+    for _ in range(draw(st.integers(0, 30))):
+        if n > 1 and draw(st.booleans()):
+            control, target = draw(st.permutations(range(n)))[:2]
+            line = f"cnot {control} {target}"
+        else:
+            kind = draw(st.sampled_from(["h", "x", "s", "sdg", "t", "tdg"]))
+            line = f"{kind} {draw(st.integers(0, n - 1))}"
+        style = draw(st.sampled_from(["plain", "plain", "upper", "pad", "comment", "blank",
+                                      "index"]))
+        if style == "upper":
+            line = line.upper()
+        elif style == "pad":
+            line = "  " + line.replace(" ", "   ") + "  # pad"
+        elif style == "comment":
+            line += " #" + draw(st.text(max_size=4))
+        elif style == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "# note"])))
+        elif style == "index":
+            line = line.replace(" ", " 0", 1) if draw(st.booleans()) else line.replace(" ", " +")
+        lines.append(line)
+    if draw(st.booleans()):
+        lines.append("measure " + " ".join(draw(st.lists(st.sampled_from("xyzXYZ"),
+                                                          min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_DEFECTS)))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    return "".join(map("".join, zip(lines, breaks)))
+
+
+def _parse_outcome(parse, text):
+    try:
+        c = parse(text)
+    except CircuitFormatError as err:
+        return err.what, err.line
+    return c.n_qubits, c.measure_basis, [id(g) for g in c.gates]
+
+
+@given(st.one_of(_FUZZ_TEXTS, workload_texts()))
+@settings(max_examples=600)
+def test_parse_circuit_matches_reference(text):
+    """The table-driven parser gives the line-by-line reference's circuit,
+    with the same Gate objects, or its error on the same line."""
+    assert _parse_outcome(parse_circuit, text) == _parse_outcome(reference_parse_circuit, text)
