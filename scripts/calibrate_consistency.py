@@ -13,6 +13,7 @@ import os
 import sys
 
 from merminsim import NoiseModel, bounds_for
+from merminsim.experiment import SIZES
 from merminsim.noise import calibrate_depol_2q, degradation_curve
 
 
@@ -24,7 +25,7 @@ def main() -> None:
     p2 = calibrate_depol_2q(target=args.target)
     print(f"fitted depol_2q = {p2:.10f}")
     model = NoiseModel(depol_2q=p2)
-    for n in (3, 4, 5):
+    for n in SIZES:
         value = degradation_curve(n, [model])[0][1]
         qm = bounds_for(n).qm_bound
         lr = bounds_for(n).lr_bound

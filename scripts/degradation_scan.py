@@ -12,6 +12,7 @@ import os
 import sys
 
 from merminsim import NoiseModel
+from merminsim.experiment import SIZES
 from merminsim.noise import degradation_curve
 
 PARAMS = ("depol_1q", "depol_2q", "readout_flip")
@@ -29,7 +30,7 @@ def main() -> None:
     params = PARAMS if args.param == "all" else (args.param,)
     grid = [args.top * i / (args.points - 1) for i in range(args.points)]
     print("n,param,rate,mermin_value")
-    for n in (3, 4, 5):
+    for n in SIZES:
         for param in params:
             models = [NoiseModel(**{param: g}) for g in grid]
             for model, value in degradation_curve(n, models):

@@ -12,6 +12,7 @@ import os
 import sys
 
 from merminsim import NoiseModel, build_plan, run_plan
+from merminsim.experiment import SIZES
 
 
 def main() -> None:
@@ -25,7 +26,7 @@ def main() -> None:
 
     noise = NoiseModel(depol_2q=args.depol_2q, readout_flip=args.readout_flip)
     print(f"{'n':>2} {'LR':>4} {'QM':>9} {'exact':>9} {'sampled':>9} {'stderr':>8}")
-    for n in (3, 4, 5):
+    for n in SIZES:
         plan = build_plan(n, shots=args.shots, seed=args.seed, noise=noise)
         exact = run_plan(plan, mode="exact")
         sampled = run_plan(plan, mode="sampled")

@@ -30,7 +30,6 @@ from .mermin import (
     canonical_polynomial,
     lr_bound,
     qm_bound,
-    recursive_polynomial,
     symmetry_classes,
 )
 from .noise import (

@@ -34,7 +34,7 @@ BASIS_TAGS = ("x", "y", "z")
 
 MAX_QUBITS = 10
 
-QUARTER_TURN = math.pi / 4
+EIGHTH_TURN = math.pi / 4
 
 
 class CircuitFormatError(ValueError):
@@ -189,20 +189,12 @@ class MeasurementSetting:
     def primed(self, party: int) -> bool:
         return bool((self.prime_mask >> (self.n_qubits - 1 - party)) & 1)
 
-    def label(self) -> str:
-        return "".join("Y" if self.primed(i) else "X" for i in range(self.n_qubits))
-
-
-def mask_bit(mask: int, party: int, n: int) -> int:
-    """MSB-first bit of ``mask`` for the given party (party 0 = leftmost)."""
-    return (mask >> (n - 1 - party)) & 1
-
 
 def phase_step_count(angle: float) -> int:
-    """Reduce an angle to the number of quarter turns k in 0..7; the angle must
+    """Reduce an angle to the number of eighth turns k in 0..7; the angle must
     be a multiple of pi/4 within 1e-9."""
-    k = round(angle / QUARTER_TURN) if math.isfinite(angle) else None
-    if k is None or abs(angle - k * QUARTER_TURN) > 1e-9:
+    k = round(angle / EIGHTH_TURN) if math.isfinite(angle) else None
+    if k is None or abs(angle - k * EIGHTH_TURN) > 1e-9:
         raise ValueError("phase not a multiple of pi/4")
     return k % 8
 

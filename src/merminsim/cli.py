@@ -20,6 +20,7 @@ from pathlib import Path
 from .circuits import CircuitFormatError, parse_circuit, serialize_circuit
 from .config import ConfigError, parse_config
 from .experiment import (
+    SIZES,
     build_plan,
     counts_to_csv,
     estimate_table,
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="print the classical and quantum bounds")
-    p.add_argument("n", type=int, choices=(3, 4, 5))
+    p.add_argument("n", type=int, choices=tuple(SIZES))
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("transpile", help="lower a circuit file onto the device")
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directory for csv output (default: current directory)")
 
     p = sub.add_parser("degrade", help="scan one noise parameter, csv to stdout")
-    p.add_argument("n", type=int, choices=(3, 4, 5))
+    p.add_argument("n", type=int, choices=tuple(SIZES))
     p.add_argument("--param", default="depol_2q",
                    choices=("depol_1q", "depol_2q", "readout_flip"))
     p.add_argument("--values", default="0,0.025,0.05,0.075,0.1",

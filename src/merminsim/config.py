@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .experiment import DEFAULT_SHOTS
+from .experiment import SIZES
 from .noise import NoiseModel
 from .transpile import DeviceModel, default_device
 
@@ -92,11 +92,12 @@ def parse_config(text: str) -> RunConfig:
     if got is None:
         raise ConfigError("missing required key n", last_line)
     n = _parse_int(got[0], "n", got[1])
-    if n not in (3, 4, 5):
-        raise ConfigError("n must be 3, 4 or 5", got[1])
+    if n not in SIZES:
+        *rest, last = SIZES
+        raise ConfigError(f"n must be {', '.join(map(str, rest))} or {last}", got[1])
 
     got = lookup("", "shots")
-    shots = DEFAULT_SHOTS[n] if got is None else _parse_int(got[0], "shots", got[1])
+    shots = SIZES[n].shots if got is None else _parse_int(got[0], "shots", got[1])
     if shots < 1:
         raise ConfigError("shots must be >= 1", got[1])
     if shots > MAX_SHOTS:

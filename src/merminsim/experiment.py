@@ -7,11 +7,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuits import (
-    QUARTER_TURN,
+    EIGHTH_TURN,
     Circuit,
     MeasurementSetting,
     ghz_circuit,
@@ -28,32 +29,41 @@ from .noise import NoiseModel, ZERO_NOISE, noisy_distribution
 from .statevector import CountsTable, OutcomeDistribution, sample_counts
 from .transpile import DeviceModel, default_device, transpile
 
-# Preparation phases (radians) that attain the positive quantum bound with
-# X as the unprimed and Y as the primed observable, determined against the
-# dense X/Y operator (the tests' dense_operator oracle): the expectation over
-# the phase family is sinusoidal and peaks at these points.
-PREP_PHASES_MAX = {3: math.pi / 2, 4: 3 * math.pi / 4, 5: math.pi}
 
-# Documented alternate phases. For n=4 and n=5 these attain the bound with
-# negative sign under this package's conventions, so evaluate |value|.
-PREP_PHASES_ALT = {3: math.pi / 2, 4: 7 * math.pi / 4, 5: 0.0}
+class SizeDefaults(NamedTuple):
+    shots: int
+    alt_phase: float
 
-DEFAULT_SHOTS = {3: 1024, 4: 8192, 5: 8192}
+
+# The supported party counts, listed nowhere else, with their default shots
+# and documented alternate preparation phase (radians). For n=4 and n=5 the
+# alternate phase attains the bound with negative sign under this package's
+# conventions, so evaluate |value|.
+SIZES = {
+    3: SizeDefaults(1024, math.pi / 2),
+    4: SizeDefaults(8192, 7 * math.pi / 4),
+    5: SizeDefaults(8192, 0.0),
+}
 
 GENUINE_THRESHOLD_4 = 8.0
 
 
 def resolve_prep_phase(n: int, selector) -> float:
-    """Accept "max", "alt", an integer number of quarter turns, or a raw
-    angle in radians (must be a multiple of pi/4)."""
+    """Accept "max", "alt", an integer number of eighth turns, or a raw
+    angle in radians (must be a multiple of pi/4).
+
+    "max" is (n - 1) pi/4, the preparation phase that attains the positive
+    quantum bound with X as the unprimed and Y as the primed observable: the
+    expectation over the phase family is sinusoidal and peaks there (checked
+    against the tests' dense X/Y operator)."""
     if isinstance(selector, str):
         if selector == "max":
-            return PREP_PHASES_MAX[n]
+            return (n - 1) * math.pi / 4
         if selector == "alt":
-            return PREP_PHASES_ALT[n]
+            return SIZES[n].alt_phase
         raise ValueError(f"unknown prep phase {selector!r}")
     if isinstance(selector, int) and not isinstance(selector, bool):
-        return (selector % 8) * QUARTER_TURN
+        return (selector % 8) * EIGHTH_TURN
     return float(selector)
 
 
@@ -119,15 +129,15 @@ def build_plan(
     (coeff, mask) becomes SymmetryClass(mask.bit_count(), coeff, mask)). The
     GHZ control qubit is the device's CNOT target, so the fan-out is
     star-legal."""
-    if n not in DEFAULT_SHOTS:
-        raise ValueError("plans are defined for n in {3, 4, 5}")
+    if n not in SIZES:
+        raise ValueError(f"plans are defined for n in {{{', '.join(map(str, SIZES))}}}")
     if device is None:
         device = default_device(n)
     if device.n_qubits != n:
         raise ValueError("device qubit count does not match n")
     phase = resolve_prep_phase(n, prep_phase)
     if shots is None:
-        shots = DEFAULT_SHOTS[n]
+        shots = SIZES[n].shots
     poly = canonical_polynomial(n)
     if reduction == "classes":
         units = symmetry_classes(poly)

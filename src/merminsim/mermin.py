@@ -14,20 +14,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .circuits import MAX_QUBITS
-
-# Signs per prime count for the three hard-coded polynomials, from the forms
-# with all-unit coefficients: n=3 has the four terms with 1 or 3 primes, n=4
-# all sixteen, n=5 the sixteen terms with 0, 2 or 4 primes.
-CANONICAL_SIGNS = {
-    3: {1: 1, 3: -1},
-    4: {0: -1, 1: 1, 2: 1, 3: -1, 4: -1},
-    5: {0: -1, 2: 1, 4: -1},
-}
-
 
 @dataclass(frozen=True)
 class MerminPolynomial:
@@ -70,53 +59,28 @@ def _sorted_terms(terms) -> tuple[tuple[int, int], ...]:
 
 
 def canonical_polynomial(n: int) -> MerminPolynomial:
-    """The hard-coded 3-, 4- and 5-party polynomials (term counts 4, 16, 16,
-    coefficients all +-1)."""
-    if n not in CANONICAL_SIGNS:
-        raise ValueError("canonical polynomial defined for n in {3, 4, 5}")
-    signs = CANONICAL_SIGNS[n]
-    terms = [
-        (signs[m.bit_count()], m)
-        for m in range(1 << n)
-        if m.bit_count() in signs
-    ]
-    return MerminPolynomial(n, tuple(terms))
-
-
-def recursive_polynomial(n: int) -> MerminPolynomial:
-    """Generate the n-party polynomial by the standard recursion.
+    """The n-party polynomial, any n >= 2, by the standard recursion.
 
     Starting from the single-party seed (one unprimed term), each step
-    combines the previous polynomial and its prime-swapped form with half
-    the sum and half the difference of the new party's settings. The result
-    is rescaled to integer coefficients with gcd 1 and keeps its natural
-    global sign.
+    combines the previous polynomial and its prime-swapped form with the sum
+    and the difference of the new party's settings; the new party sits at
+    the least significant bit. The result is rescaled to integer
+    coefficients with gcd 1 and keeps its natural global sign: the 3-, 4-
+    and 5-party forms have 4, 16 and 16 terms, all +-1.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    terms: dict[int, Fraction] = {0: Fraction(1)}
-    for m in range(2, n + 1):
-        prev_parties = m - 1
-        all_prev = (1 << prev_parties) - 1
-        swapped = {mask ^ all_prev: coeff for mask, coeff in terms.items()}
-        nxt: dict[int, Fraction] = defaultdict(Fraction)
-        # New party sits at the least significant bit; older parties shift up.
-        for mask, coeff in terms.items():
-            nxt[mask << 1] += coeff / 2
-            nxt[(mask << 1) | 1] += coeff / 2
-        for mask, coeff in swapped.items():
-            nxt[mask << 1] += coeff / 2
-            nxt[(mask << 1) | 1] -= coeff / 2
-        terms = {mask: coeff for mask, coeff in nxt.items() if coeff != 0}
-    scale = 1
-    for coeff in terms.values():
-        scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
-    ints = {mask: int(coeff * scale) for mask, coeff in terms.items()}
-    g = 0
-    for value in ints.values():
-        g = math.gcd(g, abs(value))
-    out = tuple((value // g, mask) for mask, value in ints.items())
-    return MerminPolynomial(n, out)
+    terms = [1, 0]
+    for step in range(1, n):
+        all_prev = (1 << step) - 1
+        nxt = [0] * (2 << step)
+        for m in range(1 << step):
+            c, s = terms[m], terms[m ^ all_prev]
+            nxt[m << 1] = c + s
+            nxt[m << 1 | 1] = c - s
+        terms = nxt
+    g = math.gcd(*terms)
+    return MerminPolynomial(n, tuple((c // g, m) for m, c in enumerate(terms) if c))
 
 
 def _peak_transform(p: MerminPolynomial, weights) -> int | float:
@@ -180,5 +144,5 @@ def symmetry_classes(p: MerminPolynomial) -> list[SymmetryClass]:
 
 @lru_cache(maxsize=None)
 def bounds_for(n: int) -> BoundsRecord:
-    poly = canonical_polynomial(n) if n in CANONICAL_SIGNS else recursive_polynomial(n)
+    poly = canonical_polynomial(n)
     return BoundsRecord(float(lr_bound(poly)), qm_bound(poly))

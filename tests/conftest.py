@@ -4,16 +4,19 @@ The oracle builds every unitary from literal 2x2 matrices and explicit
 Kronecker products, with no code shared with the package kernels, so
 agreement between the two is meaningful. Noise channels are given by Kraus
 operators and applied as sums of tensor contractions, the reference for the
-package's closed-form depolarizing. The gate kernel, two transpiler passes
-and the circuit parser are kept here in their first, plainer form as
-references for the package's faster ones.
+package's closed-form depolarizing. The gate kernel, two transpiler passes,
+the circuit parser and the Mermin recursion are kept here in their first,
+plainer form as references for the package's faster ones, and the 3-, 4-
+and 5-party polynomials as a literal sign table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ from merminsim.circuits import (
     _is_int,
     gate,
 )
+from merminsim.mermin import MerminPolynomial
 from merminsim.statevector import GATE_1Q, DensityMatrix, _apply_gate_inplace
 from merminsim.transpile import DeviceModel
 
@@ -345,6 +349,53 @@ def reference_parse_circuit(text: str) -> Circuit:
     if n_qubits is None:
         raise CircuitFormatError("missing qubits header", 1)
     return Circuit(n_qubits, tuple(gates), basis)
+
+
+# Signs per prime count of the 3-, 4- and 5-party polynomials, from the forms
+# with all-unit coefficients: n=3 has the four terms with 1 or 3 primes, n=4
+# all sixteen, n=5 the sixteen terms with 0, 2 or 4 primes.
+CANONICAL_SIGNS = {
+    3: {1: 1, 3: -1},
+    4: {0: -1, 1: 1, 2: 1, 3: -1, 4: -1},
+    5: {0: -1, 2: 1, 4: -1},
+}
+
+
+def table_polynomial(n: int) -> MerminPolynomial:
+    """The n-party polynomial (n = 3, 4, 5) spelled out from CANONICAL_SIGNS."""
+    signs = CANONICAL_SIGNS[n]
+    terms = [(signs[m.bit_count()], m) for m in range(1 << n) if m.bit_count() in signs]
+    return MerminPolynomial(n, tuple(terms))
+
+
+def reference_recursive_polynomial(n: int) -> MerminPolynomial:
+    """The standard recursion in exact fractions: each step combines the
+    previous polynomial and its prime-swapped form with half the sum and half
+    the difference of the new party's settings (new party at the least
+    significant bit), then the result is rescaled to integers with gcd 1,
+    keeping its natural global sign."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    terms: dict[int, Fraction] = {0: Fraction(1)}
+    for m in range(2, n + 1):
+        all_prev = (1 << (m - 1)) - 1
+        swapped = {mask ^ all_prev: coeff for mask, coeff in terms.items()}
+        nxt: dict[int, Fraction] = defaultdict(Fraction)
+        for mask, coeff in terms.items():
+            nxt[mask << 1] += coeff / 2
+            nxt[(mask << 1) | 1] += coeff / 2
+        for mask, coeff in swapped.items():
+            nxt[mask << 1] += coeff / 2
+            nxt[(mask << 1) | 1] -= coeff / 2
+        terms = {mask: coeff for mask, coeff in nxt.items() if coeff != 0}
+    scale = 1
+    for coeff in terms.values():
+        scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
+    ints = {mask: int(coeff * scale) for mask, coeff in terms.items()}
+    g = 0
+    for value in ints.values():
+        g = math.gcd(g, abs(value))
+    return MerminPolynomial(n, tuple((value // g, mask) for mask, value in ints.items()))
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,6 @@ from merminsim.experiment import (
 from merminsim.mermin import (
     bounds_for,
     canonical_polynomial,
-    recursive_polynomial,
     symmetry_classes,
 )
 from merminsim.noise import NoiseModel, ZERO_NOISE, calibrate_depol_2q, degradation_curve
@@ -38,7 +37,13 @@ from merminsim.transpile import (
     transpile,
 )
 
-from conftest import FIXTURE_DEVICES, FIXTURES, oracle_cnot, record_acceptance
+from conftest import (
+    FIXTURE_DEVICES,
+    FIXTURES,
+    oracle_cnot,
+    record_acceptance,
+    table_polynomial,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -153,9 +158,9 @@ def test_04_transpiler_soundness():
 
 
 def test_05_recursion_consistency():
-    matches = {n: recursive_polynomial(n) == canonical_polynomial(n) for n in (3, 4, 5)}
+    matches = {n: canonical_polynomial(n) == table_polynomial(n) for n in (3, 4, 5)}
     ok = all(matches.values())
-    detail = "recursive terms equal hard-coded terms for n=3,4,5 (exact)"
+    detail = "recursive terms equal the literal sign table for n=3,4,5 (exact)"
     if not ok:
         detail = f"mismatch at {[n for n, m in matches.items() if not m]}"
     record_acceptance(5, "recursion consistency", ok, detail)

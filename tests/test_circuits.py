@@ -16,7 +16,6 @@ from merminsim.circuits import (
     gate,
     ghz_circuit,
     h,
-    mask_bit,
     parse_circuit,
     phase_gates,
     phase_step_count,
@@ -178,21 +177,6 @@ def test_ghz_circuit_reaches_target_state(n, k):
     assert fid >= 1 - 1e-10
 
 
-def test_mask_bit_is_msb_first():
-    # party 0 is the leftmost character, so mask bit n-1-party
-    assert mask_bit(0b001, 2, 3) == 1
-    assert mask_bit(0b001, 0, 3) == 0
-    assert mask_bit(0b100, 0, 3) == 1
-
-
-def test_measurement_setting_label():
-    assert MeasurementSetting(3, 0b001).label() == "XXY"
-    assert MeasurementSetting(3, 0b111).label() == "YYY"
-    assert MeasurementSetting(5, 0b01001).label() == "XYXXY"
-    with pytest.raises(ValueError):
-        MeasurementSetting(3, 0b1000)
-
-
 def test_with_setting_gate_counts():
     base = ghz_circuit(4, 7 * math.pi / 4)
     for mask in (0b0000, 0b1100, 0b1111):
@@ -206,7 +190,10 @@ def test_with_setting_gate_counts():
 def test_with_setting_order():
     c = with_setting(ghz_circuit(3, math.pi / 2), MeasurementSetting(3, 0b001))
     tail = [(g.kind, g.qubits[0]) for g in c.gates[-4:]]
+    # MSB-first: mask bit n-1-party, so 0b001 primes party 2 only
     assert tail == [("h", 0), ("h", 1), ("sdg", 2), ("h", 2)]
+    with pytest.raises(ValueError):
+        MeasurementSetting(3, 0b1000)
 
 
 def test_parse_minimal():

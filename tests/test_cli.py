@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from merminsim import cli
 from merminsim.circuits import parse_circuit
 from merminsim.cli import main
+from merminsim.config import ConfigError, parse_config
+from merminsim.experiment import SIZES, build_plan
 from merminsim.transpile import DeviceModel, constraint_violations
 
 from conftest import FIXTURES
@@ -55,6 +57,35 @@ def test_bounds_rejects_other_n(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: argument n: invalid choice: 6 (choose from 3, 4, 5)\n"
+
+
+def test_entry_points_accept_exactly_the_size_table(capsys):
+    # The CLI, the config parser and the planner all take their party counts
+    # from one table; none may accept a size another refuses.
+    accepted = {"bounds": set(), "degrade": set(), "config": set(), "plan": set()}
+    for n in range(1, 12):
+        for command, argv in (
+            ("bounds", ["bounds", str(n)]),
+            ("degrade", ["degrade", str(n), "--values", "0"]),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            if code == 0:
+                accepted[command].add(n)
+            else:
+                assert code == 1, (command, n)
+                assert out == ""
+                assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        try:
+            parse_config(f"n = {n}\n")
+            accepted["config"].add(n)
+        except ConfigError:
+            pass
+        try:
+            build_plan(n)
+            accepted["plan"].add(n)
+        except ValueError:
+            pass
+    assert accepted == {name: set(SIZES) for name in accepted}
 
 
 def test_transpile_stdout(capsys):

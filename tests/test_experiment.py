@@ -7,9 +7,7 @@ import pytest
 
 from merminsim.circuits import MeasurementSetting, ghz_circuit, with_setting
 from merminsim.experiment import (
-    DEFAULT_SHOTS,
-    PREP_PHASES_ALT,
-    PREP_PHASES_MAX,
+    SIZES,
     build_plan,
     class_distributions,
     combine,
@@ -72,8 +70,13 @@ def test_parity_expectation_rejects_empty():
 
 
 def test_resolve_prep_phase():
-    assert resolve_prep_phase(3, "max") == PREP_PHASES_MAX[3]
-    assert resolve_prep_phase(4, "alt") == PREP_PHASES_ALT[4]
+    # "max" is (n - 1) pi/4, bit for bit the literals it replaced
+    assert resolve_prep_phase(3, "max") == math.pi / 2
+    assert resolve_prep_phase(4, "max") == 3 * math.pi / 4
+    assert resolve_prep_phase(5, "max") == math.pi
+    assert resolve_prep_phase(3, "alt") == math.pi / 2
+    assert resolve_prep_phase(4, "alt") == 7 * math.pi / 4
+    assert resolve_prep_phase(5, "alt") == 0.0
     assert resolve_prep_phase(3, 2) == pytest.approx(math.pi / 2)
     assert resolve_prep_phase(3, 9) == pytest.approx(math.pi / 4)
     assert resolve_prep_phase(3, math.pi) == pytest.approx(math.pi)
@@ -89,7 +92,7 @@ def test_build_plan_shape(n, n_classes, shots):
     assert len(plan.classes) == n_classes
     assert len(terms.classes) == {3: 4, 4: 16, 5: 16}[n]
     assert plan.shots_per_class == shots
-    assert DEFAULT_SHOTS[n] == shots
+    assert SIZES[n].shots == shots
     for cls, circ in plan.classes + terms.classes:
         assert constraint_violations(circ, plan.device) == []
         assert circ.measure_basis == ("z",) * n
@@ -336,9 +339,9 @@ def test_build_plan_honors_device_override():
 
 def test_plan_prep_phase_recorded():
     plan = build_plan(4, prep_phase="alt")
-    assert plan.prep_phase == pytest.approx(PREP_PHASES_ALT[4])
+    assert plan.prep_phase == pytest.approx(7 * math.pi / 4)
     est = run_plan(plan, mode="exact")
-    assert est.prep_phase == pytest.approx(PREP_PHASES_ALT[4])
+    assert est.prep_phase == pytest.approx(7 * math.pi / 4)
 
 
 def test_lowered_class_circuit_matches_direct_build():

@@ -14,11 +14,10 @@ from merminsim.mermin import (
     canonical_polynomial,
     lr_bound,
     qm_bound,
-    recursive_polynomial,
     symmetry_classes,
 )
 
-from conftest import oracle_pauli_matrix
+from conftest import oracle_pauli_matrix, reference_recursive_polynomial, table_polynomial
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,12 +91,6 @@ def test_canonical_5_structure():
     assert all(c == -1 for c, _ in masks_by_count[4])
 
 
-def test_canonical_rejects_other_sizes():
-    for n in (2, 6):
-        with pytest.raises(ValueError):
-            canonical_polynomial(n)
-
-
 def test_polynomial_validation():
     with pytest.raises(ValueError):
         MerminPolynomial(2, ((1, 0), (1, 0)))
@@ -114,22 +107,27 @@ def test_terms_are_sorted():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_recursion_reproduces_canonical(n):
-    rec, canon = recursive_polynomial(n), canonical_polynomial(n)
-    assert rec == canon
-    negated = tuple(sorted(((-c, m) for c, m in canon.terms),
-                           key=lambda t: (t[1].bit_count(), t[1])))
-    assert rec.terms in (canon.terms, negated)
+    # The literal sign table, sign included: not the recursion run twice.
+    assert canonical_polynomial(n) == table_polynomial(n)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_recursion_matches_fraction_reference(n):
+    assert canonical_polynomial(n) == reference_recursive_polynomial(n)
 
 
 def test_recursion_n2_is_chsh():
-    p = recursive_polynomial(2)
+    p = canonical_polynomial(2)
     assert p.terms == ((1, 0b00), (1, 0b01), (1, 0b10), (-1, 0b11))
     assert lr_bound(p) == 2
 
 
 def test_recursion_rejects_small_n():
-    with pytest.raises(ValueError):
-        recursive_polynomial(1)
+    # Every n >= 2 has a polynomial (n = 2 is CHSH, n = 6 is exercised by the
+    # bound tests); only fewer than two parties are refused.
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            canonical_polynomial(n)
 
 
 @pytest.mark.parametrize("n,expected", [(3, 2), (4, 4), (5, 4)])
@@ -139,7 +137,7 @@ def test_lr_bounds_exact(n, expected):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lr_bound_matches_brute_force(n):
-    p = recursive_polynomial(n)
+    p = canonical_polynomial(n)
     assert lr_bound(p) == brute_force_lr(p)
 
 
@@ -179,7 +177,7 @@ def dense_qm_bound(p: MerminPolynomial) -> float:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_qm_bound_matches_dense_eigenvalues(n):
-    p = recursive_polynomial(n)
+    p = canonical_polynomial(n)
     assert qm_bound(p) == pytest.approx(dense_qm_bound(p), abs=1e-9)
 
 
@@ -194,7 +192,7 @@ def test_qm_bound_matches_dense_eigenvalues_on_any_polynomial(p):
 def test_qm_at_least_lr_for_generated_polynomials(n):
     # Closed forms: Mermin, PRL 65, 1838 (1990); Belinskii & Klyshko,
     # Phys. Usp. 36, 653 (1993).
-    p = recursive_polynomial(n)
+    p = canonical_polynomial(n)
     assert qm_bound(p) >= lr_bound(p)
     assert lr_bound(p) == 2 ** (n // 2)
     want = 2 ** (n - 1) if n % 2 else 2 ** (n - 0.5)
@@ -279,7 +277,7 @@ def test_bounds_for():
     assert rec.qm_bound == pytest.approx(4.0, abs=1e-8)
     assert bounds_for(4).qm_bound == pytest.approx(8 * SQRT2, abs=1e-8)
     assert bounds_for(5).qm_bound == pytest.approx(16.0, abs=1e-8)
-    # CHSH falls back to the recursion
+    # the recursion covers CHSH too
     chsh = bounds_for(2)
     assert chsh.lr_bound == 2
     assert chsh.qm_bound == pytest.approx(2 * SQRT2, abs=1e-8)
@@ -295,7 +293,7 @@ def test_bounds_record_validation():
 @given(st.integers(2, 6))
 @settings(max_examples=10, deadline=None)
 def test_recursion_terms_have_unique_masks(n):
-    p = recursive_polynomial(n)
+    p = canonical_polynomial(n)
     masks = [m for _, m in p.terms]
     assert len(masks) == len(set(masks))
     assert all(0 <= m < (1 << n) for m in masks)

@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
     "canonical_polynomial", "combine", "default_device", "degradation_curve",
     "depolarize_dm", "full_term_run", "ghz_circuit", "lr_bound", "noisy_distribution",
     "parity_expectation", "parity_expectation_probs", "parse_circuit", "parse_config",
-    "place_phase_pass", "qm_bound", "recursive_polynomial", "reverse_cnot_pass",
+    "place_phase_pass", "qm_bound", "reverse_cnot_pass",
     "run_plan", "sample_counts", "serialize_circuit", "simulate_circuit",
     "symmetry_classes", "transpile", "unitary_equivalent", "with_setting",
 }
