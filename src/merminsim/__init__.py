@@ -41,13 +41,8 @@ from .noise import (
 )
 from .statevector import (
     CountsTable,
-    DensityMatrix,
     OutcomeDistribution,
-    Statevector,
-    depolarize_dm,
     sample_counts,
-    simulate_circuit,
-    unitary_equivalent,
 )
 from .transpile import (
     DeviceModel,

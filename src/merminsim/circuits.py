@@ -77,7 +77,7 @@ class Gate:
 
 # Gates on qubits below this are built at import and kept for the life of
 # the process: they cover every circuit (MAX_QUBITS) and the doubled
-# density-matrix vector (2 * statevector.MAX_DM_QUBITS).
+# density-matrix vector (2 * noise.MAX_DM_QUBITS).
 PINNED_QUBITS = 12
 
 _PINNED = {

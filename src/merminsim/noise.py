@@ -1,27 +1,30 @@
 """Error channels: depolarizing noise after each gate on the touched qubits
 and a per-qubit readout bit flip at measurement.
 
-The noise acts on an exact density matrix. Each gate is applied with the
-statevector gate kernel to the entries viewed as a 2n-qubit vector (U on
-the row qubits, conj(U) on the column qubits). Depolarizing with rate p on
-the gate's k qubits is the closed form rho -> (1 - p) rho + p Tr_Q(rho) (x)
-I / 2^k, with no Kraus sum. Readout flips act on the final Z-basis
-probabilities.
+The noise acts on an exact density matrix, held in one complex 4^n array
+and updated in place. Read row-major, its entries are a 2n-qubit vector
+whose qubit q is row qubit q and whose qubit n + q is column qubit q, so
+the statevector gate kernel applies each gate's U to the row qubits and
+conj(U) to the column qubits. Depolarizing with rate p on the gate's k
+qubits is the closed form rho -> (1 - p) rho + p Tr_Q(rho) (x) I / 2^k, with
+no Kraus sum. Readout flips act on the final Z-basis probabilities.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit
-from .statevector import (
-    DensityMatrix,
-    OutcomeDistribution,
-    apply_gate_dm,
-    depolarize_dm,
-    dm_diagonal_probabilities,
-)
+from .circuits import Circuit, gate
+from .statevector import OutcomeDistribution, _apply_gate_inplace
+
+MAX_DM_QUBITS = 6
+
+# The gate whose matrix is the entrywise complex conjugate of each kind's
+# matrix; noisy_distribution applies it to the column qubits.
+GATE_CONJ = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,20 @@ class NoiseModel:
 ZERO_NOISE = NoiseModel()
 
 
+@lru_cache(maxsize=None)
+def _diagonal_blocks(n: int, qubits: tuple[int, ...]):
+    """Indices into the (2,) * 2n tensor of a density matrix that select each
+    block whose row and column bits agree on the given qubits."""
+    blocks = []
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        idx = [slice(None)] * (2 * n)
+        for q, b in zip(qubits, bits):
+            idx[q] = idx[n + q] = b
+        # With the Ellipsis a full index (k = n) is a 0-d view, not a scalar copy.
+        blocks.append((*idx, Ellipsis))
+    return tuple(blocks)
+
+
 def _readout_confusion(probs: np.ndarray, n: int, r: float) -> np.ndarray:
     if r == 0.0:
         return probs
@@ -55,15 +72,28 @@ def _readout_confusion(probs: np.ndarray, n: int, r: float) -> np.ndarray:
 def noisy_distribution(c: Circuit, m: NoiseModel) -> OutcomeDistribution:
     """Exact density-matrix propagation: each gate's unitary, then
     depolarizing on the touched qubits at the gate's rate; per-qubit readout
-    confusion on the final Z-basis probabilities."""
+    confusion on the final Z-basis probabilities. The 4^n entries are
+    allocated once and every step updates them in place."""
     n = c.n_qubits
-    rho = DensityMatrix.zero(n)
+    if not 1 <= n <= MAX_DM_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_DM_QUBITS} for density matrices")
+    dim = 1 << n
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[0] = 1.0
+    tens = vec.reshape((2,) * (2 * n))
     for g in c.gates:
-        rho = apply_gate_dm(rho, g)
+        _apply_gate_inplace(vec, g, 2 * n)
+        _apply_gate_inplace(vec, gate(GATE_CONJ[g.kind], tuple(n + q for q in g.qubits)), 2 * n)
         p = m.depol_2q if g.kind == "cnot" else m.depol_1q
         if p > 0:
-            rho = depolarize_dm(rho, p, g.qubits)
-    probs = _readout_confusion(dm_diagonal_probabilities(rho), n, m.readout_flip)
+            # Tr_Q(rho) is the sum of the 2^k diagonal blocks; each of those
+            # blocks then receives p / 2^k times it.
+            blocks = _diagonal_blocks(n, g.qubits)
+            traced = sum(tens[idx] for idx in blocks) * (p / len(blocks))
+            tens *= 1.0 - p
+            for idx in blocks:
+                tens[idx] += traced
+    probs = _readout_confusion(vec[:: dim + 1].real, n, m.readout_flip)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError("probability mass drifted beyond tolerance")

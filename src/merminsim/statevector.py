@@ -1,24 +1,22 @@
-"""Dense pure-state and density-matrix simulation of few-qubit circuits.
+"""The gate kernel and the outcome sampler of few-qubit simulation.
 
-One in-place gate kernel serves statevectors, unitaries (columns evolve in
-parallel) and density matrices (the entries read as a 2n-qubit vector): a
-phase gate scales the |1> half of a reshaped view, X and H gather through a
-cached bit-flip permutation, and CNOT swaps cached index pairs. Index bit
-(n-1-q) belongs to qubit q, so qubit 0 is the most significant bit and the
-leftmost character of an outcome string.
+One in-place gate kernel serves the transpiler's statevector phase scan and
+the density-matrix loop of noise.py, which reads the 4^n entries as a
+2n-qubit vector: a phase gate scales the |1> half of a reshaped view, X and
+H gather through a cached bit-flip permutation, and CNOT swaps cached index
+pairs. Index bit (n-1-q) belongs to qubit q, so qubit 0 is the most
+significant bit and the leftmost character of an outcome string.
+sample_counts draws seeded shot counts from a Z-basis outcome distribution.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, MAX_QUBITS, gate as interned_gate
-
-MAX_DM_QUBITS = 6
+from .circuits import Gate
 
 # Identifier for the sampling scheme stored in every CountsTable: raw PCG64
 # doubles mapped through the inverse CDF. Kept independent of numpy's
@@ -40,35 +38,6 @@ GATE_1Q = {
     "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
     "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
 }
-
-# The gate whose matrix is the entrywise complex conjugate of each kind's
-# matrix; apply_gate_dm applies it to the column index of a density matrix.
-GATE_CONJ = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
-
-def _check_qubits(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
-
-
-@dataclass(eq=False)
-class Statevector:
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        _check_qubits(self.n_qubits)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ValueError("amplitude array length must be 2**n_qubits")
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "Statevector":
-        """|0...0>; the qubit count is checked before the 2^n array is
-        allocated."""
-        _check_qubits(n_qubits)
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
 
 
 @dataclass(eq=False)
@@ -112,34 +81,6 @@ class CountsTable:
             raise ValueError("counts must sum to shots")
 
 
-def _check_dm_qubits(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_DM_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_DM_QUBITS} for density matrices")
-
-
-@dataclass(eq=False)
-class DensityMatrix:
-    n_qubits: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        _check_dm_qubits(self.n_qubits)
-        self.entries = np.asarray(self.entries, dtype=complex)
-        dim = 1 << self.n_qubits
-        if self.entries.shape != (dim, dim):
-            raise ValueError("entries must be a 2**n x 2**n matrix")
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "DensityMatrix":
-        """|0...0><0...0|; the qubit count is checked before the 4^n array
-        is allocated."""
-        _check_dm_qubits(n_qubits)
-        dim = 1 << n_qubits
-        entries = np.zeros((dim, dim), dtype=complex)
-        entries[0, 0] = 1.0
-        return cls(n_qubits, entries)
-
-
 @lru_cache(maxsize=None)
 def _flip_perm(n: int, q: int) -> np.ndarray:
     """Index permutation that flips qubit q's bit."""
@@ -163,20 +104,6 @@ def _cnot_indices(n: int, control: int, target: int):
     idx = np.arange(1 << n)
     sel = idx[((idx >> pc) & 1 == 1) & ((idx >> pt) & 1 == 0)]
     return sel, sel | (1 << pt)
-
-
-@lru_cache(maxsize=None)
-def _diagonal_blocks(n: int, qubits: tuple[int, ...]):
-    """Indices into the (2,) * 2n tensor of a density matrix that select each
-    block whose row and column bits agree on the given qubits."""
-    blocks = []
-    for bits in itertools.product((0, 1), repeat=len(qubits)):
-        idx = [slice(None)] * (2 * n)
-        for q, b in zip(qubits, bits):
-            idx[q] = idx[n + q] = b
-        # With the Ellipsis a full index (k = n) is a 0-d view, not a scalar copy.
-        blocks.append((*idx, Ellipsis))
-    return tuple(blocks)
 
 
 def _one_half(amps: np.ndarray, q: int) -> np.ndarray:
@@ -216,21 +143,6 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
         # Phase first: numpy's complex product rounds differently with the
         # operands swapped, and this order is the matrix product's.
         np.multiply(GATE_1Q[kind][1, 1], half, out=half)
-
-
-def simulate_circuit(c: Circuit, initial: Statevector | None = None) -> Statevector:
-    """Run the gate list from |0...0> (or the given state). Measurement-basis
-    tags are not applied; lowering realizes them as gates."""
-    if initial is None:
-        amps = np.zeros(1 << c.n_qubits, dtype=complex)
-        amps[0] = 1.0
-    else:
-        if initial.n_qubits != c.n_qubits:
-            raise ValueError("initial state qubit count differs")
-        amps = initial.amplitudes.copy()
-    for g in c.gates:
-        _apply_gate_inplace(amps, g, c.n_qubits)
-    return Statevector(c.n_qubits, amps)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTable:
@@ -273,67 +185,3 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTab
         idx[straddling] = np.searchsorted(cdf, u[straddling], side="right")
         raw += np.bincount(idx, minlength=n_out)
     return CountsTable(dist.n_qubits, raw, shots, seed)
-
-
-def apply_gate_dm(rho: DensityMatrix, gate: Gate) -> DensityMatrix:
-    """rho -> U rho U^dag. Row-major, the entries are a 2n-qubit vector whose
-    qubit q is row qubit q and whose qubit n + q is column qubit q, so the
-    statevector kernel applies U to the rows and conj(U) to the columns."""
-    n = rho.n_qubits
-    if any(q >= n for q in gate.qubits):
-        raise ValueError("gate index out of range")
-    out = rho.entries.copy()
-    vec = out.reshape(-1)
-    _apply_gate_inplace(vec, gate, 2 * n)
-    conj = interned_gate(GATE_CONJ[gate.kind], tuple(n + q for q in gate.qubits))
-    _apply_gate_inplace(vec, conj, 2 * n)
-    return DensityMatrix(n, out)
-
-
-def depolarize_dm(rho: DensityMatrix, p: float, qubits) -> DensityMatrix:
-    """k-qubit depolarizing on the given qubits in closed form:
-    rho -> (1 - p) rho + p Tr_Q(rho) (x) I / 2^k. Tr_Q(rho) is the sum of the
-    2^k diagonal blocks (row and column bits of Q equal); each of those
-    blocks then receives p / 2^k times it."""
-    qubits = tuple(qubits)
-    n = rho.n_qubits
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability in [0, 1]")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("duplicate qubit")
-    if any(not 0 <= q < n for q in qubits):
-        raise ValueError("qubit index out of range")
-    out = rho.entries.copy()
-    tens = out.reshape((2,) * (2 * n))
-    blocks = _diagonal_blocks(n, qubits)
-    traced = sum(tens[idx] for idx in blocks) * (p / len(blocks))
-    tens *= 1.0 - p
-    for idx in blocks:
-        tens[idx] += traced
-    return DensityMatrix(n, out)
-
-
-def dm_diagonal_probabilities(rho: DensityMatrix) -> np.ndarray:
-    return np.real(np.diag(rho.entries)).copy()
-
-
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Full unitary of the gate list; its columns evolve in parallel through
-    the gate kernel. Limited to 6 qubits."""
-    if c.n_qubits > MAX_DM_QUBITS:
-        raise ValueError("too many qubits for a dense unitary")
-    u = np.eye(1 << c.n_qubits, dtype=complex)
-    for g in c.gates:
-        _apply_gate_inplace(u, g, c.n_qubits)
-    return u
-
-
-def unitary_equivalent(a: Circuit, b: Circuit, tol: float = 1e-10) -> bool:
-    """True iff |Tr(Ua^dag Ub)| / 2^n >= 1 - tol (equal up to global phase)."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    ua = circuit_unitary(a)
-    ub = circuit_unitary(b)
-    dim = 1 << a.n_qubits
-    overlap = abs(np.trace(ua.conj().T @ ub)) / dim
-    return bool(overlap >= 1.0 - tol)

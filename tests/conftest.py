@@ -34,7 +34,7 @@ from merminsim.circuits import (
     gate,
 )
 from merminsim.mermin import MerminPolynomial
-from merminsim.statevector import GATE_1Q, DensityMatrix, _apply_gate_inplace
+from merminsim.statevector import GATE_1Q, _apply_gate_inplace
 from merminsim.transpile import DeviceModel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -122,6 +122,15 @@ def oracle_state(circuit) -> np.ndarray:
     return oracle_unitary(circuit) @ e0
 
 
+def oracle_equivalent(a, b, tol: float = 1e-10) -> bool:
+    """True iff |Tr(Ua^dag Ub)| / 2^n >= 1 - tol: the oracle unitaries agree
+    up to a global phase."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("qubit-count mismatch")
+    overlap = abs(np.trace(oracle_unitary(a).conj().T @ oracle_unitary(b))) / (1 << a.n_qubits)
+    return bool(overlap >= 1.0 - tol)
+
+
 def oracle_pauli_matrix(label: str) -> np.ndarray:
     return kron_chain([ORACLE_PAULI[ch] for ch in label.lower()])
 
@@ -186,22 +195,23 @@ def _contract(tens: np.ndarray, op: np.ndarray, positions: list[int]) -> np.ndar
     return np.moveaxis(tens, list(range(k)), positions)
 
 
-def apply_channel(rho: DensityMatrix, channel: KrausChannel, qubits) -> DensityMatrix:
-    """sum_K K rho K^dag with each K acting on the given qubits."""
+def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits) -> np.ndarray:
+    """sum_K K rho K^dag with each K acting on the given qubits of the
+    2^n x 2^n density matrix rho."""
     qubits = tuple(qubits)
     if len(qubits) != channel.n_qubits:
         raise ValueError("channel arity does not match qubit count")
     if len(set(qubits)) != len(qubits):
         raise ValueError("duplicate qubit")
-    n = rho.n_qubits
+    n = rho.shape[0].bit_length() - 1
     if any(q >= n for q in qubits):
         raise ValueError("qubit index out of range")
-    tens = rho.entries.reshape((2,) * (2 * n))
+    tens = rho.reshape((2,) * (2 * n))
     acc = np.zeros_like(tens)
     for op in channel.operators:
         term = _contract(tens, op, list(qubits))
         acc += _contract(term, op.conj(), [n + q for q in qubits])
-    return DensityMatrix(n, acc.reshape(rho.entries.shape))
+    return acc.reshape(rho.shape)
 
 
 def reference_apply_gate(amps: np.ndarray, gate, n: int) -> None:

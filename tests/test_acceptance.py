@@ -29,7 +29,6 @@ from merminsim.mermin import (
     symmetry_classes,
 )
 from merminsim.noise import NoiseModel, ZERO_NOISE, calibrate_depol_2q, degradation_curve
-from merminsim.statevector import simulate_circuit, unitary_equivalent
 from merminsim.transpile import (
     cancel_adjacent_pass,
     constraint_violations,
@@ -41,6 +40,8 @@ from conftest import (
     FIXTURE_DEVICES,
     FIXTURES,
     oracle_cnot,
+    oracle_equivalent,
+    oracle_state,
     record_acceptance,
     table_polynomial,
 )
@@ -53,8 +54,8 @@ def _load(name):
 
 
 def _fidelity(a, b) -> float:
-    va = simulate_circuit(a).amplitudes
-    vb = simulate_circuit(b).amplitudes
+    va = oracle_state(a)
+    vb = oracle_state(b)
     return abs(np.vdot(va, vb)) ** 2
 
 
@@ -126,10 +127,10 @@ def test_04_transpiler_soundness():
         circ = _load(name)
         device = FIXTURE_DEVICES[name]
         reversed_ = reverse_cnot_pass(circ, device)
-        if not unitary_equivalent(circ, reversed_, 1e-10):
+        if not oracle_equivalent(circ, reversed_, 1e-10):
             pass_failures.append(f"{name}: reversal broke the unitary")
         cancelled = cancel_adjacent_pass(reversed_)
-        if not unitary_equivalent(reversed_, cancelled, 1e-10):
+        if not oracle_equivalent(reversed_, cancelled, 1e-10):
             pass_failures.append(f"{name}: cancellation broke the unitary")
         lowered, _ = transpile(circ, device)
         if _fidelity(circ, lowered) < 1 - 1e-10:

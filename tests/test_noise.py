@@ -25,9 +25,15 @@ from merminsim.noise import (
     degradation_curve,
     noisy_distribution,
 )
-from merminsim.statevector import DensityMatrix, simulate_circuit
 
-from conftest import FIXTURES, apply_channel, depolarizing_channel, kron_chain, oracle_unitary
+from conftest import (
+    FIXTURES,
+    apply_channel,
+    depolarizing_channel,
+    kron_chain,
+    oracle_state,
+    oracle_unitary,
+)
 
 
 def test_noise_model_validation():
@@ -91,7 +97,7 @@ def test_noisy_distribution_single_qubit_oracle():
 def test_zero_noise_equals_ideal_on_fixtures():
     for path in sorted((FIXTURES / "valid").glob("*.qc")):
         c = parse_circuit(path.read_text())
-        ideal = np.abs(simulate_circuit(c).amplitudes) ** 2
+        ideal = np.abs(oracle_state(c)) ** 2
         noisy = noisy_distribution(c, ZERO_NOISE).probabilities
         assert np.allclose(noisy, ideal, atol=1e-10)
 
@@ -115,7 +121,7 @@ def test_noisy_distribution_size_cap():
 
 
 def test_noisy_distribution_builds_no_gate_after_warm_up(monkeypatch):
-    """apply_gate_dm takes its conjugate gate from the interned table, so a
+    """The loop takes each conjugate gate from the interned table, so a
     repeated call constructs no Gate."""
     c = parse_circuit((FIXTURES / "valid" / "ghz5_xyxxy_ideal.qc").read_text())
     c = c.with_gates(c.gates + (Gate("t", (1,)), Gate("x", (3,))))
@@ -157,7 +163,7 @@ def oracle_noisy_probabilities(c: Circuit, m: NoiseModel) -> np.ndarray:
         u = oracle_unitary(Circuit(n, (g,)))
         p = m.depol_2q if g.kind == "cnot" else m.depol_1q
         chan = depolarizing_channel(p, len(g.qubits))
-        rho = apply_channel(DensityMatrix(n, u @ rho @ u.conj().T), chan, g.qubits).entries
+        rho = apply_channel(u @ rho @ u.conj().T, chan, g.qubits)
     r = m.readout_flip
     confusion = kron_chain([np.array([[1 - r, r], [r, 1 - r]])] * n)
     return confusion @ np.real(np.diag(rho))

@@ -22,17 +22,17 @@ HOOK_PARAMETERS = {
 # Removing a name from this set is an API change: state it in CHANGES.md.
 PUBLIC_NAMES = {
     "BoundsRecord", "Circuit", "CircuitFormatError", "ConfigError", "CountsTable",
-    "DensityMatrix", "DeviceModel", "ExperimentPlan", "Gate", "MeasurementSetting",
+    "DeviceModel", "ExperimentPlan", "Gate", "MeasurementSetting",
     "MerminEstimate", "MerminPolynomial", "NoiseModel", "OutcomeDistribution",
-    "RunConfig", "StarTopologyError", "Statevector", "SymmetryClass",
+    "RunConfig", "StarTopologyError", "SymmetryClass",
     "TranspileReport", "ZERO_NOISE",
     "bounds_for", "build_plan", "calibrate_depol_2q", "cancel_adjacent_pass",
     "canonical_polynomial", "combine", "default_device", "degradation_curve",
-    "depolarize_dm", "full_term_run", "ghz_circuit", "lr_bound", "noisy_distribution",
+    "full_term_run", "ghz_circuit", "lr_bound", "noisy_distribution",
     "parity_expectation", "parity_expectation_probs", "parse_circuit", "parse_config",
     "place_phase_pass", "qm_bound", "reverse_cnot_pass",
-    "run_plan", "sample_counts", "serialize_circuit", "simulate_circuit",
-    "symmetry_classes", "transpile", "unitary_equivalent", "with_setting",
+    "run_plan", "sample_counts", "serialize_circuit",
+    "symmetry_classes", "transpile", "with_setting",
 }
 
 

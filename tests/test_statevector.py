@@ -1,28 +1,19 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from merminsim.circuits import GATE_KINDS, Circuit, Gate, cnot, ghz_circuit, h, parse_circuit, s, sdg
+from merminsim.circuits import GATE_KINDS, Circuit, Gate, cnot, ghz_circuit, h, parse_circuit, s
+from merminsim.noise import GATE_CONJ, ZERO_NOISE, noisy_distribution
 from merminsim.statevector import (
     GATE_1Q,
-    GATE_CONJ,
     RNG_ID,
     CountsTable,
-    DensityMatrix,
     OutcomeDistribution,
-    Statevector,
     _apply_gate_inplace,
-    apply_gate_dm,
-    circuit_unitary,
-    depolarize_dm,
-    dm_diagonal_probabilities,
     sample_counts,
-    simulate_circuit,
-    unitary_equivalent,
 )
 
 from conftest import (
@@ -33,8 +24,8 @@ from conftest import (
     depolarizing_channel,
     embed_1q,
     oracle_cnot,
+    oracle_equivalent,
     oracle_expectation,
-    oracle_pauli_matrix,
     oracle_state,
     oracle_unitary,
     reference_apply_gate,
@@ -44,43 +35,34 @@ from test_circuits import circuits
 INV_SQRT2 = 1 / math.sqrt(2)
 
 
+def run_kernel(c: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
+    """The circuit's gates through the package kernel, in place on amps (a
+    state, or a 2-D array of column states), which defaults to |0...0>."""
+    if amps is None:
+        amps = np.zeros(1 << c.n_qubits, dtype=complex)
+        amps[0] = 1.0
+    for g in c.gates:
+        _apply_gate_inplace(amps, g, c.n_qubits)
+    return amps
+
+
 def ideal_distribution(c: Circuit) -> OutcomeDistribution:
-    return OutcomeDistribution(c.n_qubits, np.abs(simulate_circuit(c).amplitudes) ** 2)
-
-
-def test_zero_state():
-    st0 = Statevector.zero(3)
-    assert st0.amplitudes[0] == 1.0
-    assert abs(np.linalg.norm(st0.amplitudes) - 1.0) < 1e-15
+    return OutcomeDistribution(c.n_qubits, np.abs(oracle_state(c)) ** 2)
 
 
 def test_hadamard_on_zero():
-    out = simulate_circuit(Circuit(1, (h(0),)))
-    assert np.allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2])
+    out = run_kernel(Circuit(1, (h(0),)))
+    assert np.allclose(out, [INV_SQRT2, INV_SQRT2])
 
 
 def test_phase_gate_on_plus():
-    out = simulate_circuit(Circuit(1, (h(0), s(0))))
-    assert np.allclose(out.amplitudes, [INV_SQRT2, 1j * INV_SQRT2])
+    out = run_kernel(Circuit(1, (h(0), s(0))))
+    assert np.allclose(out, [INV_SQRT2, 1j * INV_SQRT2])
 
 
 def test_cnot_entangles():
-    out = simulate_circuit(Circuit(2, (h(0), cnot(0, 1))))
-    assert np.allclose(out.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2])
-
-
-def test_statevector_zero_checks_before_allocating():
-    assert np.array_equal(Statevector.zero(2).amplitudes, [1, 0, 0, 0])
-    # A 20-qubit state would take 16 MB.
-    tracemalloc.start()
-    try:
-        for n in (20, 11, 0, -1):
-            with pytest.raises(ValueError, match=r"n_qubits must be in 1\.\.10"):
-                Statevector.zero(n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    out = run_kernel(Circuit(2, (h(0), cnot(0, 1))))
+    assert np.allclose(out, [INV_SQRT2, 0, 0, INV_SQRT2])
 
 
 @given(st.sampled_from(sorted(GATE_KINDS)), st.data())
@@ -116,8 +98,8 @@ def test_gate_kernel_matches_dense_oracle(kind, data):
 @given(circuits())
 @settings(max_examples=60)
 def test_norm_preserved(c):
-    state = simulate_circuit(c)
-    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+    state = run_kernel(c)
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 @given(circuits(max_qubits=3), st.sampled_from(["h", "x", "s", "t"]), st.integers(0, 2))
@@ -125,17 +107,17 @@ def test_norm_preserved(c):
 def test_gate_involutions(c, kind, qubit):
     qubit %= c.n_qubits
     inverse = {"h": "h", "x": "x", "s": "sdg", "t": "tdg"}[kind]
-    state = simulate_circuit(c)
+    state = run_kernel(c)
     pair = Circuit(c.n_qubits, (Gate(kind, (qubit,)), Gate(inverse, (qubit,))))
-    back = simulate_circuit(pair, state)
-    assert abs(abs(np.vdot(back.amplitudes, state.amplitudes)) ** 2 - 1.0) < 1e-12
+    back = run_kernel(pair, state.copy())
+    assert abs(abs(np.vdot(back, state)) ** 2 - 1.0) < 1e-12
 
 
 def test_pauli_expectation_known_values():
-    ghz = simulate_circuit(ghz_circuit(3, math.pi / 2)).amplitudes
+    ghz = run_kernel(ghz_circuit(3, math.pi / 2))
     assert abs(oracle_expectation(ghz, "XXY") - 1.0) < 1e-12
     assert abs(oracle_expectation(ghz, "YYY") + 1.0) < 1e-12
-    z0 = Statevector.zero(1).amplitudes
+    z0 = run_kernel(Circuit(1, ()))
     assert oracle_expectation(z0, "Z") == pytest.approx(1.0)
 
 
@@ -146,7 +128,7 @@ def test_pauli_expectation_matches_oracle(c, data):
         st.lists(st.sampled_from("IXYZ"), min_size=c.n_qubits, max_size=c.n_qubits)
     )
     label = "".join(label)
-    got = oracle_expectation(simulate_circuit(c).amplitudes, label)
+    got = oracle_expectation(run_kernel(c), label)
     want = oracle_expectation(oracle_state(c), label)
     assert abs(got - want) < 1e-12
     assert abs(got) <= 1 + 1e-12
@@ -258,42 +240,17 @@ def test_counts_table_validation():
 
 def test_fully_depolarizing_fixed_point():
     chan = depolarizing_channel(1.0, 1)
-    amps = simulate_circuit(Circuit(1, (Gate("t", (0,)), h(0)))).amplitudes
-    rho = apply_channel(DensityMatrix(1, np.outer(amps, amps.conj())), chan, (0,))
-    assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
-
-
-def test_dm_expectation_consistent_with_pure():
-    c = ghz_circuit(3, math.pi / 2)
-    ghz = simulate_circuit(c).amplitudes
-    evolved = DensityMatrix.zero(3)
-    for gate in c.gates:
-        evolved = apply_gate_dm(evolved, gate)
-    for rho in (DensityMatrix(3, np.outer(ghz, ghz.conj())), evolved):
-        for label in ("XXY", "YYY", "ZZI"):
-            got = np.trace(rho.entries @ oracle_pauli_matrix(label)).real
-            assert got == pytest.approx(oracle_expectation(ghz, label), abs=1e-12)
-
-
-def test_apply_gate_dm_matches_pure_path():
-    c = ghz_circuit(3, math.pi / 4)
-    rho = DensityMatrix.zero(3)
-    for gate in c.gates:
-        rho = apply_gate_dm(rho, gate)
-    assert np.allclose(
-        dm_diagonal_probabilities(rho),
-        np.abs(simulate_circuit(c).amplitudes) ** 2,
-        atol=1e-12,
-    )
+    amps = oracle_state(Circuit(1, (Gate("t", (0,)), h(0))))
+    rho = apply_channel(np.outer(amps, amps.conj()), chan, (0,))
+    assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_density_matrix_invariants_after_channel():
-    amps = simulate_circuit(ghz_circuit(3)).amplitudes
-    rho = DensityMatrix(3, np.outer(amps, amps.conj()))
-    rho = apply_channel(rho, depolarizing_channel(0.3, 2), (0, 2))
-    assert np.allclose(rho.entries, rho.entries.conj().T, atol=1e-10)
-    assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
-    assert np.linalg.eigvalsh(rho.entries).min() >= -1e-9
+    amps = oracle_state(ghz_circuit(3))
+    rho = apply_channel(np.outer(amps, amps.conj()), depolarizing_channel(0.3, 2), (0, 2))
+    assert np.allclose(rho, rho.conj().T, atol=1e-10)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-9
 
 
 def test_kraus_channel_validation():
@@ -304,16 +261,13 @@ def test_kraus_channel_validation():
         KrausChannel(3, (np.eye(8),))
 
 
-def test_density_matrix_size_cap():
-    with pytest.raises(ValueError):
-        DensityMatrix(7, np.eye(128))
-
-
 def test_density_matrix_zero():
-    assert np.array_equal(DensityMatrix.zero(2).entries, np.diag([1.0, 0, 0, 0]))
-    for n in (0, 7, 30):
-        with pytest.raises(ValueError, match=r"n_qubits must be in 1\.\.6 for density matrices"):
-            DensityMatrix.zero(n)
+    """noisy_distribution starts every size up to its cap from
+    |0...0><0...0|."""
+    for n in range(1, 7):
+        want = np.zeros(1 << n)
+        want[0] = 1.0
+        assert np.array_equal(noisy_distribution(Circuit(n, ()), ZERO_NOISE).probabilities, want)
 
 
 def test_gate_conj_is_entrywise_conjugate():
@@ -323,78 +277,35 @@ def test_gate_conj_is_entrywise_conjugate():
         assert np.array_equal(mat.conj(), GATE_1Q[GATE_CONJ[kind]])
 
 
-def random_density_matrix(n: int, seed: int) -> DensityMatrix:
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
-    rho = a @ a.conj().T
-    return DensityMatrix(n, rho / np.trace(rho).real)
-
-
-@given(circuits(max_qubits=6), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_apply_gate_dm_matches_dense_oracle(c, seed):
-    rho = random_density_matrix(c.n_qubits, seed)
-    for gate in c.gates:
-        before = rho.entries.copy()
-        u = oracle_unitary(Circuit(c.n_qubits, (gate,)))
-        out = apply_gate_dm(rho, gate)
-        assert np.array_equal(rho.entries, before)
-        assert np.allclose(out.entries, u @ before @ u.conj().T, rtol=0, atol=1e-12)
-        rho = out
-
-
-@given(st.integers(1, 5), st.data())
-@settings(max_examples=80, deadline=None)
-def test_depolarize_dm_matches_kraus_oracle(n, data):
-    k = data.draw(st.integers(1, min(n, 2)))
-    qubits = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
-    p = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                            st.just(1.0)))
-    rho = random_density_matrix(n, data.draw(st.integers(0, 2**32 - 1)))
-    before = rho.entries.copy()
-    got = depolarize_dm(rho, p, qubits)
-    want = apply_channel(rho, depolarizing_channel(p, k), qubits)
-    assert np.array_equal(rho.entries, before)
-    assert np.allclose(got.entries, want.entries, rtol=0, atol=1e-12)
-
-
-def test_depolarize_dm_validation():
-    rho = DensityMatrix.zero(2)
-    for p in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="probability"):
-            depolarize_dm(rho, p, (0,))
-    with pytest.raises(ValueError, match="duplicate"):
-        depolarize_dm(rho, 0.1, (1, 1))
-    with pytest.raises(ValueError, match="out of range"):
-        depolarize_dm(rho, 0.1, (0, 2))
-
-
 @given(circuits(max_qubits=6))
 @settings(max_examples=60, deadline=None)
 def test_circuit_unitary_matches_oracle(c):
-    assert np.allclose(circuit_unitary(c), oracle_unitary(c), atol=1e-12)
+    """The kernel on the columns of the identity builds the circuit
+    unitary."""
+    u = run_kernel(c, np.eye(1 << c.n_qubits, dtype=complex))
+    assert np.allclose(u, oracle_unitary(c), atol=1e-12)
 
 
 def test_unitary_equivalent_reflexive():
     c = ghz_circuit(3, math.pi / 2)
-    assert unitary_equivalent(c, c)
+    assert oracle_equivalent(c, c)
 
 
 def test_unitary_equivalent_cnot_reversal():
     direct = Circuit(2, (cnot(0, 1),))
     conjugated = Circuit(2, (h(0), h(1), cnot(1, 0), h(0), h(1)))
-    assert unitary_equivalent(direct, conjugated)
-    assert not unitary_equivalent(direct, Circuit(2, (cnot(1, 0),)))
+    assert oracle_equivalent(direct, conjugated)
+    assert not oracle_equivalent(direct, Circuit(2, (cnot(1, 0),)))
 
 
 def test_unitary_equivalent_ignores_global_phase():
     # S.S = Z while X.S.S.X = -Z; equal only up to a global sign
     zz = Circuit(1, (s(0), s(0)))
     flipped = Circuit(1, (Gate("x", (0,)), s(0), s(0), Gate("x", (0,))))
-    assert not np.allclose(circuit_unitary(zz), circuit_unitary(flipped))
-    assert unitary_equivalent(zz, flipped)
+    assert not np.allclose(oracle_unitary(zz), oracle_unitary(flipped))
+    assert oracle_equivalent(zz, flipped)
 
 
 def test_unitary_equivalent_qubit_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        unitary_equivalent(ghz_circuit(2), ghz_circuit(3))
+        oracle_equivalent(ghz_circuit(2), ghz_circuit(3))
