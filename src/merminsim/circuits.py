@@ -28,6 +28,11 @@ GATE_KINDS = {
     "cnot": 2,
 }
 
+# The kind that undoes each kind on the same qubits, in the same order. Each
+# matrix in the set is symmetric, so its inverse conj(U)^T is also conj(U):
+# the same table gives the column-qubit gates of the density-matrix loop.
+INVERSE = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
+
 PHASE_KINDS = frozenset({"s", "sdg", "t", "tdg"})
 
 BASIS_TAGS = ("x", "y", "z")
@@ -77,7 +82,7 @@ class Gate:
 
 # Gates on qubits below this are built at import and kept for the life of
 # the process: they cover every circuit (MAX_QUBITS) and the doubled
-# density-matrix vector (2 * noise.MAX_DM_QUBITS).
+# density-matrix vector (2 * noise.MAX_DM_QUBITS): raise it with either.
 PINNED_QUBITS = 12
 
 _PINNED = {
@@ -88,19 +93,12 @@ _PINNED = {
 }
 
 
-@lru_cache(maxsize=1024)
-def _unpinned_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
-    return Gate(kind, qubits)
-
-
 def gate(kind: str, qubits: tuple[int, ...]) -> Gate:
-    """The process-wide Gate for (kind, qubits). The 204 gates on qubits
-    below PINNED_QUBITS are built at import and never evicted. Any other
-    gate is built and validated on first use and kept in a cache of 1,024,
-    which caps what callers with large indices can add; such a gate is one
-    object only while it stays cached. A gate that fails validation raises
-    on every call and is never stored."""
-    return _PINNED.get((kind, qubits)) or _unpinned_gate(kind, qubits)
+    """The process-wide Gate for (kind, qubits): the 204 gates on qubits
+    below PINNED_QUBITS are built at import and shared. Any other gate is
+    built and validated on each call and not shared; one that fails
+    validation raises."""
+    return _PINNED.get((kind, qubits)) or Gate(kind, qubits)
 
 
 def h(q: int) -> Gate:

@@ -101,16 +101,13 @@ def _cmd_bounds(args) -> int:
 def _cmd_transpile(args) -> int:
     text = Path(args.circuit).read_text()
     circ = parse_circuit(text)
-    target = args.cnot_target
-    if target is None:
-        target = min(2, circ.n_qubits - 1)
     rank = None
     if args.rank is not None:
         try:
             rank = tuple(int(tok) for tok in args.rank.split(","))
         except ValueError:
             raise ValueError(f"--rank must list qubit indices, got {args.rank!r}") from None
-    device = DeviceModel(circ.n_qubits, cnot_target=target, robustness_rank=rank)
+    device = DeviceModel(circ.n_qubits, cnot_target=args.cnot_target, robustness_rank=rank)
     lowered, report = transpile(circ, device)
     rendered = serialize_circuit(lowered)
     if args.out is None:

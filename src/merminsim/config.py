@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .experiment import SIZES
 from .noise import NoiseModel
-from .transpile import DeviceModel, default_device
+from .transpile import DeviceModel
 
 
 # Sampling costs about 12 ns per shot, so this cap turns a mistyped count
@@ -147,9 +147,8 @@ def parse_config(text: str) -> RunConfig:
             kwargs[key] = p
     noise = NoiseModel(**kwargs)
 
-    base = default_device(n)
-    target = base.cnot_target
-    rank = base.robustness_rank
+    target = None
+    rank = None
     got = lookup("device", "cnot_target")
     if got is not None:
         target = _parse_int(got[0], "cnot_target", got[1])

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +20,6 @@ from .circuits import (
     with_setting,
 )
 from .mermin import (
-    BoundsRecord,
     SymmetryClass,
     bounds_for,
     canonical_polynomial,
@@ -49,8 +49,8 @@ GENUINE_THRESHOLD_4 = 8.0
 
 
 def resolve_prep_phase(n: int, selector) -> float:
-    """Accept "max", "alt", an integer number of eighth turns, or a raw
-    angle in radians (must be a multiple of pi/4).
+    """Accept "max", "alt", any non-bool integer (numpy's too) as eighth
+    turns, or a raw angle in radians (must be a multiple of pi/4).
 
     "max" is (n - 1) pi/4, the preparation phase that attains the positive
     quantum bound with X as the unprimed and Y as the primed observable: the
@@ -62,8 +62,8 @@ def resolve_prep_phase(n: int, selector) -> float:
         if selector == "alt":
             return SIZES[n].alt_phase
         raise ValueError(f"unknown prep phase {selector!r}")
-    if isinstance(selector, int) and not isinstance(selector, bool):
-        return (selector % 8) * EIGHTH_TURN
+    if isinstance(selector, Integral) and not isinstance(selector, bool):
+        return (int(selector) % 8) * EIGHTH_TURN
     return float(selector)
 
 
@@ -181,48 +181,38 @@ def parity_expectation(t: CountsTable) -> tuple[float, float]:
     return e, math.sqrt(var / t.shots)
 
 
-def combine(
-    per_class,
-    classes,
-    bounds: BoundsRecord,
-    n_parties: int,
-    mode: str = "sampled",
-    reduction: str = "classes",
-    prep_phase: float = 0.0,
-    shots_per_class: int = 1,
-    seed: int = 0,
-) -> MerminEstimate:
-    """Weighted combination of class estimates.
+def combine(per_class, plan: ExperimentPlan, mode: str) -> MerminEstimate:
+    """Weighted combination of the unit estimates of a plan run in mode.
 
     per_class is a sequence of (prime_count, expectation, stderr) aligned
-    with the class list; value = sum of signed_weight * expectation and the
-    stderr adds the independent class errors in quadrature.
+    with plan.classes; value = sum of signed_weight * expectation and the
+    stderr adds the independent unit errors in quadrature.
     """
-    classes = list(classes)
     per_class = list(per_class)
-    if len(per_class) != len(classes):
+    if len(per_class) != len(plan.classes):
         raise ValueError("class mismatch")
     entries = []
     value = 0.0
     var = 0.0
-    for (pc, e, se), cls in zip(per_class, classes):
+    for (pc, e, se), (cls, _) in zip(per_class, plan.classes):
         if pc != cls.prime_count:
             raise ValueError("class mismatch")
         value += cls.signed_weight * e
         var += (cls.signed_weight * se) ** 2
         entries.append(ClassEstimate(pc, cls.signed_weight, float(e), float(se)))
     stderr = math.sqrt(var)
+    bounds = bounds_for(plan.n)
     sigma = None
     if mode == "sampled" and stderr > 0.0:
         sigma = (value - bounds.lr_bound) / stderr
-    genuine = bool(value > GENUINE_THRESHOLD_4) if n_parties == 4 else None
+    genuine = bool(value > GENUINE_THRESHOLD_4) if plan.n == 4 else None
     return MerminEstimate(
-        n_parties=n_parties,
+        n_parties=plan.n,
         mode=mode,
-        reduction=reduction,
-        prep_phase=prep_phase,
-        shots_per_class=shots_per_class,
-        seed=seed,
+        reduction=plan.reduction,
+        prep_phase=plan.prep_phase,
+        shots_per_class=plan.shots_per_class,
+        seed=plan.seed,
         per_class=tuple(entries),
         value=float(value),
         stderr=float(stderr),
@@ -263,11 +253,7 @@ def run_plan(plan: ExperimentPlan, mode: str = "exact") -> MerminEstimate:
         ]
     else:
         raise ValueError("mode must be exact or sampled")
-    return combine(
-        per_class, [cls for cls, _ in plan.classes], bounds_for(plan.n), plan.n,
-        mode=mode, reduction=plan.reduction, prep_phase=plan.prep_phase,
-        shots_per_class=plan.shots_per_class, seed=plan.seed,
-    )
+    return combine(per_class, plan, mode)
 
 
 def full_term_run(plan: ExperimentPlan, mode: str = "exact") -> MerminEstimate:

@@ -7,7 +7,8 @@ whose qubit q is row qubit q and whose qubit n + q is column qubit q, so
 the statevector gate kernel applies each gate's U to the row qubits and
 conj(U) to the column qubits. Depolarizing with rate p on the gate's k
 qubits is the closed form rho -> (1 - p) rho + p Tr_Q(rho) (x) I / 2^k, with
-no Kraus sum. Readout flips act on the final Z-basis probabilities.
+no Kraus sum. Readout flips act on the final Z-basis probabilities, so every
+measurement tag must be z: lower x/y tags first (transpile or measured_in).
 """
 from __future__ import annotations
 
@@ -17,14 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, gate
+from .circuits import INVERSE, Circuit, gate
 from .statevector import OutcomeDistribution, _apply_gate_inplace
 
 MAX_DM_QUBITS = 6
 
-# The gate whose matrix is the entrywise complex conjugate of each kind's
-# matrix; noisy_distribution applies it to the column qubits.
-GATE_CONJ = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
+# calibrate_depol_2q stops once the value is this close to the target, or
+# after this many bisection steps.
+CALIBRATE_TOL = 1e-4
+CALIBRATE_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,6 @@ class NoiseModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability in [0, 1]")
-
-    def is_zero(self) -> bool:
-        return self.depol_1q == 0.0 and self.depol_2q == 0.0 and self.readout_flip == 0.0
 
 
 ZERO_NOISE = NoiseModel()
@@ -72,18 +71,21 @@ def _readout_confusion(probs: np.ndarray, n: int, r: float) -> np.ndarray:
 def noisy_distribution(c: Circuit, m: NoiseModel) -> OutcomeDistribution:
     """Exact density-matrix propagation: each gate's unitary, then
     depolarizing on the touched qubits at the gate's rate; per-qubit readout
-    confusion on the final Z-basis probabilities. The 4^n entries are
-    allocated once and every step updates them in place."""
+    confusion on the final Z-basis probabilities, so every tag must be z.
+    The 4^n entries are allocated once and every step updates them in place."""
     n = c.n_qubits
     if not 1 <= n <= MAX_DM_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{MAX_DM_QUBITS} for density matrices")
+    if any(b != "z" for b in c.measure_basis):
+        raise ValueError("noisy_distribution measures in z only: lower x/y measurement "
+                         "tags first (transpile or measured_in)")
     dim = 1 << n
     vec = np.zeros(dim * dim, dtype=complex)
     vec[0] = 1.0
     tens = vec.reshape((2,) * (2 * n))
     for g in c.gates:
         _apply_gate_inplace(vec, g, 2 * n)
-        _apply_gate_inplace(vec, gate(GATE_CONJ[g.kind], tuple(n + q for q in g.qubits)), 2 * n)
+        _apply_gate_inplace(vec, gate(INVERSE[g.kind], tuple(n + q for q in g.qubits)), 2 * n)
         p = m.depol_2q if g.kind == "cnot" else m.depol_1q
         if p > 0:
             # Tr_Q(rho) is the sum of the 2^k diagonal blocks; each of those
@@ -111,9 +113,9 @@ def degradation_curve(n: int, m_grid) -> list[tuple[NoiseModel, float]]:
     return [(m, run_plan(replace(plan, noise=m), mode="exact").value) for m in m_grid]
 
 
-def calibrate_depol_2q(target: float = 2.85, tol: float = 1e-4,
-                       max_iter: int = 60) -> float:
-    """Bisection on depol_2q so the exact 3-qubit value hits the target.
+def calibrate_depol_2q(target: float = 2.85) -> float:
+    """Bisection on depol_2q so the exact 3-qubit value hits the target
+    within CALIBRATE_TOL.
     The exact value is monotone decreasing in depol_2q from the ideal 4.0."""
     from .experiment import build_plan, run_plan
 
@@ -125,10 +127,10 @@ def calibrate_depol_2q(target: float = 2.85, tol: float = 1e-4,
     lo, hi = 0.0, 1.0
     if not value(lo) >= target >= value(hi):
         raise ValueError("target outside the reachable range")
-    for _ in range(max_iter):
+    for _ in range(CALIBRATE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         v = value(mid)
-        if abs(v - target) <= tol:
+        if abs(v - target) <= CALIBRATE_TOL:
             return mid
         if v > target:
             lo = mid

@@ -1,6 +1,6 @@
 """The gate kernel and the outcome sampler of few-qubit simulation.
 
-One in-place gate kernel serves the transpiler's statevector phase scan and
+One in-place gate kernel on 1-D states serves the transpiler's phase scan and
 the density-matrix loop of noise.py, which reads the 4^n entries as a
 2n-qubit vector: a phase gate scales the |1> half of a reshaped view, X and
 H gather through a cached bit-flip permutation, and CNOT swaps cached index
@@ -30,14 +30,8 @@ _GUIDE_BUCKETS = 1 << 12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-GATE_1Q = {
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
-}
+# The phase each phase kind puts on the |1> amplitude of its qubit.
+_PHASE = {"s": 1j, "sdg": -1j, "t": np.exp(1j * math.pi / 4), "tdg": np.exp(-1j * math.pi / 4)}
 
 
 @dataclass(eq=False)
@@ -106,14 +100,8 @@ def _cnot_indices(n: int, control: int, target: int):
     return sel, sel | (1 << pt)
 
 
-def _one_half(amps: np.ndarray, q: int) -> np.ndarray:
-    """View of the amplitudes whose qubit-q bit is 1. The row bits lead the
-    C-contiguous array, so this also holds for 2-D column states."""
-    return amps.reshape(1 << q, 2, -1)[:, 1]
-
-
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
-    """Mutates amps, a C-contiguous 1-D state or 2-D array of column states.
+    """Mutates amps, a C-contiguous 1-D state of n qubits.
 
     A phase gate scales the |1> half of its qubit, X permutes by the bit
     flip, and H adds the flipped amplitudes times 1/sqrt(2) to the amplitudes
@@ -133,16 +121,15 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
     if kind == "h":
         moved = amps[_flip_perm(n, q)]
         moved *= _INV_SQRT2
-        diag = _h_diag(n, q)
-        amps *= diag if amps.ndim == 1 else diag[:, None]
+        amps *= _h_diag(n, q)
         amps += moved
     elif kind == "x":
         amps[...] = amps[_flip_perm(n, q)]
     else:
-        half = _one_half(amps, q)
+        half = amps.reshape(1 << q, 2, -1)[:, 1]  # the amplitudes with qubit q at 1
         # Phase first: numpy's complex product rounds differently with the
         # operands swapped, and this order is the matrix product's.
-        np.multiply(GATE_1Q[kind][1, 1], half, out=half)
+        np.multiply(_PHASE[kind], half, out=half)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTable:

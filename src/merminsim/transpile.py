@@ -22,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .circuits import PHASE_KINDS, Circuit, Gate, cnot, gate, h, measured_in
+from .circuits import INVERSE, PHASE_KINDS, Circuit, Gate, cnot, gate, h, measured_in
 from .statevector import _apply_gate_inplace
 
 
@@ -32,16 +32,19 @@ class StarTopologyError(ValueError):
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """n_qubits, the only legal CNOT target, and the robustness ranking
-    (most robust qubit first)."""
+    """n_qubits, the only legal CNOT target (default qubit 2, or n - 1 on
+    fewer qubits), and the robustness ranking (most robust qubit first;
+    default the identity)."""
 
     n_qubits: int
-    cnot_target: int = 2
+    cnot_target: int | None = None
     robustness_rank: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
+        if self.cnot_target is None:
+            object.__setattr__(self, "cnot_target", min(2, self.n_qubits - 1))
         if not 0 <= self.cnot_target < self.n_qubits:
             raise ValueError("cnot_target out of range")
         rank = self.robustness_rank
@@ -54,9 +57,8 @@ class DeviceModel:
 
 
 def default_device(n: int) -> DeviceModel:
-    """Documented defaults: target qubit 2 (clamped for tiny devices),
-    identity robustness ranking."""
-    return DeviceModel(n, cnot_target=min(2, n - 1), robustness_rank=tuple(range(n)))
+    """The documented device on n qubits."""
+    return DeviceModel(n)
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,8 @@ def reverse_cnot_pass(c: Circuit, d: DeviceModel) -> Circuit:
     return c.with_gates(out)
 
 
-# The kind that undoes each kind on the same qubits, in the same order.
-_INVERSE = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
-
-
 def _inverse_pair(a: Gate, b: Gate) -> bool:
-    return a.qubits == b.qubits and _INVERSE[a.kind] == b.kind
+    return a.qubits == b.qubits and INVERSE[a.kind] == b.kind
 
 
 def _next_touching(masks: list[int], i: int) -> int | None:
@@ -191,7 +189,7 @@ def _movable_phase_positions(c: Circuit) -> list[int]:
             j = wire[-1]
             p = pending[j]
             # A gate has one or two qubits: the first and the last.
-            if p.qubits == qubits and _INVERSE[p.kind] == g.kind and stacks[qubits[-1]][-1] == j:
+            if p.qubits == qubits and INVERSE[p.kind] == g.kind and stacks[qubits[-1]][-1] == j:
                 pending[j] = None
                 for q in qubits:
                     stacks[q].pop()

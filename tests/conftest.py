@@ -34,7 +34,7 @@ from merminsim.circuits import (
     gate,
 )
 from merminsim.mermin import MerminPolynomial
-from merminsim.statevector import GATE_1Q, _apply_gate_inplace
+from merminsim.statevector import _apply_gate_inplace
 from merminsim.transpile import DeviceModel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -214,12 +214,25 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits) -> np.ndarray:
     return acc.reshape(rho.shape)
 
 
+# The 2x2 matrices of the kernel's first form, entry for entry; T is
+# exp(i pi/4), not ORACLE_1Q's (1 + i)/sqrt(2), which can differ in the
+# last bit, so that the first-form comparison below stays bitwise.
+_FIRST_FORM_1Q = {
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQ,
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+    "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
+}
+
+
 def reference_apply_gate(amps: np.ndarray, gate, n: int) -> None:
     """The package's gate kernel in its first form, in place: every pair of
     amplitudes whose indices differ in the gate qubit's bit gets the 2x2
-    matrix-vector product with the package's own matrix, and CNOT swaps the
-    pairs whose control bit is set. The package kernel must give the same
-    numbers."""
+    matrix-vector product with the matrix of _FIRST_FORM_1Q, and CNOT swaps
+    the pairs whose control bit is set. The package kernel must give the
+    same numbers."""
     idx = np.arange(1 << n)
     if gate.kind == "cnot":
         pc, pt = n - 1 - gate.qubits[0], n - 1 - gate.qubits[1]
@@ -230,7 +243,7 @@ def reference_apply_gate(amps: np.ndarray, gate, n: int) -> None:
     pos = n - 1 - gate.qubits[0]
     low = idx[(idx >> pos) & 1 == 0]
     high = low | (1 << pos)
-    mat = GATE_1Q[gate.kind]
+    mat = _FIRST_FORM_1Q[gate.kind]
     a0, a1 = amps[low], amps[high]
     amps[low] = mat[0, 0] * a0 + mat[0, 1] * a1
     amps[high] = mat[1, 0] * a0 + mat[1, 1] * a1

@@ -21,7 +21,7 @@ from merminsim.experiment import (
     run_plan,
     sampled_class_counts,
 )
-from merminsim.mermin import bounds_for, canonical_polynomial, symmetry_classes
+from merminsim.mermin import canonical_polynomial, symmetry_classes
 from merminsim.noise import NoiseModel, ZERO_NOISE
 from merminsim.statevector import CountsTable, sample_counts
 from merminsim.transpile import DeviceModel, constraint_violations
@@ -80,6 +80,13 @@ def test_resolve_prep_phase():
     assert resolve_prep_phase(3, 2) == pytest.approx(math.pi / 2)
     assert resolve_prep_phase(3, 9) == pytest.approx(math.pi / 4)
     assert resolve_prep_phase(3, math.pi) == pytest.approx(math.pi)
+    # Every integer type counts eighth turns, numpy's too; a bool does not.
+    for steps in (np.int64(2), np.uint8(2), np.int32(10)):
+        assert resolve_prep_phase(3, steps) == resolve_prep_phase(3, 2)
+    assert build_plan(3, np.int64(2)) == build_plan(3, 2)
+    assert resolve_prep_phase(3, True) == 1.0
+    with pytest.raises(ValueError, match="multiple of pi/4"):
+        build_plan(3, True)
     with pytest.raises(ValueError):
         resolve_prep_phase(3, "other")
 
@@ -145,40 +152,23 @@ def test_genuine_threshold_flag():
 
 
 def test_combine_verdicts():
-    classes = symmetry_classes(canonical_polynomial(3))
-    bounds = bounds_for(3)
-    est = combine(
-        [(1, 0.715, 0.02), (3, -0.710, 0.02)],
-        classes,
-        bounds,
-        n_parties=3,
-        mode="sampled",
-        shots_per_class=1024,
-    )
+    plan = build_plan(3, shots=1024)
+    est = combine([(1, 0.715, 0.02), (3, -0.710, 0.02)], plan, "sampled")
     assert est.value == pytest.approx(2.855)
     assert est.stderr == pytest.approx(math.sqrt((3 * 0.02) ** 2 + 0.02**2))
     assert est.violates_lr
     assert est.sigma_distance == pytest.approx((2.855 - 2) / est.stderr)
-    below = combine(
-        [(1, 0.4, 0.1), (3, -0.4, 0.1)],
-        classes,
-        bounds,
-        n_parties=3,
-        mode="sampled",
-        shots_per_class=1024,
-    )
+    below = combine([(1, 0.4, 0.1), (3, -0.4, 0.1)], plan, "sampled")
     assert below.value == pytest.approx(1.6)
     assert not below.violates_lr
 
 
 def test_combine_rejects_misaligned_classes():
-    classes = symmetry_classes(canonical_polynomial(3))
+    plan = build_plan(3, shots=1024)
     with pytest.raises(ValueError, match="class mismatch"):
-        combine([(1, 0.5, 0.01)], classes, bounds_for(3), n_parties=3)
+        combine([(1, 0.5, 0.01)], plan, "sampled")
     with pytest.raises(ValueError, match="class mismatch"):
-        combine(
-            [(0, 0.5, 0.01), (3, 0.5, 0.01)], classes, bounds_for(3), n_parties=3
-        )
+        combine([(0, 0.5, 0.01), (3, 0.5, 0.01)], plan, "sampled")
 
 
 def test_sampled_determinism():

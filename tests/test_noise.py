@@ -13,6 +13,7 @@ from merminsim.circuits import (
     cnot,
     ghz_circuit,
     h,
+    measured_in,
     parse_circuit,
     with_setting,
 )
@@ -41,8 +42,6 @@ def test_noise_model_validation():
         NoiseModel(depol_1q=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(depol_2q=1.5)
-    assert ZERO_NOISE.is_zero()
-    assert not NoiseModel(readout_flip=0.01).is_zero()
 
 
 def test_depolarizing_channel_structure():
@@ -118,6 +117,18 @@ def test_full_depolarizing_gives_even_odd_balance():
 def test_noisy_distribution_size_cap():
     with pytest.raises(ValueError):
         noisy_distribution(Circuit(7, ()), ZERO_NOISE)
+
+
+def test_noisy_distribution_rejects_unlowered_tags():
+    """Only the Z basis is measured: read in X, H|0> gives [1, 0], not the
+    Z-basis [0.5, 0.5], so an x or y tag is an error, not a silent z."""
+    for basis in (("x",), ("y",)):
+        with pytest.raises(ValueError, match="transpile or measured_in"):
+            noisy_distribution(Circuit(1, (h(0),), basis), ZERO_NOISE)
+    with pytest.raises(ValueError, match="z only"):
+        noisy_distribution(Circuit(2, (), ("z", "x")), ZERO_NOISE)
+    lowered = measured_in(Circuit(1, (h(0),)), ("x",))
+    assert noisy_distribution(lowered, ZERO_NOISE).probabilities == pytest.approx([1, 0])
 
 
 def test_noisy_distribution_builds_no_gate_after_warm_up(monkeypatch):

@@ -35,6 +35,36 @@ PUBLIC_NAMES = {
     "symmetry_classes", "transpile", "with_setting",
 }
 
+# Parameter names, in order, of every public function. Adding, removing or
+# renaming one is an API change as well: state it in CHANGES.md.
+PUBLIC_PARAMETERS = {
+    "bounds_for": ("n",),
+    "build_plan": ("n", "prep_phase", "shots", "seed", "device", "noise", "reduction"),
+    "calibrate_depol_2q": ("target",),
+    "cancel_adjacent_pass": ("c",),
+    "canonical_polynomial": ("n",),
+    "combine": ("per_class", "plan", "mode"),
+    "default_device": ("n",),
+    "degradation_curve": ("n", "m_grid"),
+    "full_term_run": ("plan", "mode"),
+    "ghz_circuit": ("n", "target_phase", "control"),
+    "lr_bound": ("p",),
+    "noisy_distribution": ("c", "m"),
+    "parity_expectation": ("t",),
+    "parity_expectation_probs": ("probs",),
+    "parse_circuit": ("text",),
+    "parse_config": ("text",),
+    "place_phase_pass": ("c", "d"),
+    "qm_bound": ("p",),
+    "reverse_cnot_pass": ("c", "d"),
+    "run_plan": ("plan", "mode"),
+    "sample_counts": ("dist", "shots", "seed"),
+    "serialize_circuit": ("c",),
+    "symmetry_classes": ("p",),
+    "transpile": ("c", "d"),
+    "with_setting": ("c", "setting"),
+}
+
 
 def test_public_names_are_pinned():
     exposed = {
@@ -42,6 +72,16 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exposed == PUBLIC_NAMES
+
+
+def test_public_parameters_are_pinned():
+    public = {name: getattr(merminsim, name) for name in PUBLIC_NAMES}
+    functions = {
+        name: tuple(inspect.signature(fn).parameters)
+        for name, fn in public.items()
+        if callable(fn) and not isinstance(fn, type)
+    }
+    assert functions == PUBLIC_PARAMETERS
 
 
 def test_traced_names_exist():

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from merminsim.circuits import GATE_KINDS, Circuit, Gate, cnot, ghz_circuit, h, parse_circuit, s
-from merminsim.noise import GATE_CONJ, ZERO_NOISE, noisy_distribution
+from merminsim.circuits import (
+    GATE_KINDS,
+    INVERSE,
+    Circuit,
+    Gate,
+    cnot,
+    ghz_circuit,
+    h,
+    parse_circuit,
+    s,
+)
+from merminsim.noise import ZERO_NOISE, noisy_distribution
 from merminsim.statevector import (
-    GATE_1Q,
     RNG_ID,
     CountsTable,
     OutcomeDistribution,
@@ -36,8 +45,8 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 
 def run_kernel(c: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
-    """The circuit's gates through the package kernel, in place on amps (a
-    state, or a 2-D array of column states), which defaults to |0...0>."""
+    """The circuit's gates through the package kernel, in place on the
+    state amps, which defaults to |0...0>."""
     if amps is None:
         amps = np.zeros(1 << c.n_qubits, dtype=complex)
         amps[0] = 1.0
@@ -68,8 +77,8 @@ def test_cnot_entangles():
 @given(st.sampled_from(sorted(GATE_KINDS)), st.data())
 @settings(max_examples=200, deadline=None)
 def test_gate_kernel_matches_dense_oracle(kind, data):
-    """Each gate kind on a 1-D state of 1-10 qubits, or on a 2-D array of
-    column states of up to 6 qubits, against the dense Kronecker oracle, and
+    """Each gate kind on a state of 1-10 qubits, or on each of a few column
+    states of up to 6 qubits, against the dense Kronecker oracle, and
     number for number against the kernel's first form."""
     arity = GATE_KINDS[kind]
     columns = data.draw(st.sampled_from([None, 1, 3, 8]))
@@ -84,15 +93,19 @@ def test_gate_kernel_matches_dense_oracle(kind, data):
     shape = (1 << n,) if columns is None else (1 << n, columns)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     want = u @ amps
-    first_form = amps.copy()
-    reference_apply_gate(first_form, Gate(kind, qubits), n)
-    _apply_gate_inplace(amps, Gate(kind, qubits), n)
-    assert np.allclose(amps, want, rtol=0, atol=1e-12)
-    # numpy rounds a complex product of one-element arrays by another loop,
-    # so on a one-qubit state T and Tdg can differ from the first form in
-    # the last bit.
-    if amps.size > 2:
-        assert np.array_equal(amps, first_form)
+    # The kernel takes one 1-D state at a time: run it down each column.
+    states = [amps] if columns is None else [np.ascontiguousarray(col) for col in amps.T]
+    for state in states:
+        first_form = state.copy()
+        reference_apply_gate(first_form, Gate(kind, qubits), n)
+        _apply_gate_inplace(state, Gate(kind, qubits), n)
+        # numpy rounds a complex product of one-element arrays by another
+        # loop, so on a one-qubit state T and Tdg can differ from the first
+        # form in the last bit.
+        if state.size > 2:
+            assert np.array_equal(state, first_form)
+    got = amps if columns is None else np.stack(states, axis=1)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 @given(circuits())
@@ -271,18 +284,28 @@ def test_density_matrix_zero():
 
 
 def test_gate_conj_is_entrywise_conjugate():
-    assert GATE_CONJ.keys() == GATE_KINDS.keys()
-    assert GATE_CONJ["cnot"] == "cnot"
-    for kind, mat in GATE_1Q.items():
-        assert np.array_equal(mat.conj(), GATE_1Q[GATE_CONJ[kind]])
+    """One table gives both the inverse kind, for the peephole pass, and the
+    entrywise-conjugate kind, for the density matrix's column qubits:
+    checked against the oracle's literal matrices."""
+    assert INVERSE.keys() == GATE_KINDS.keys()
+    for kind, mat in ORACLE_1Q.items():
+        other = ORACLE_1Q[INVERSE[kind]]
+        assert np.array_equal(other, mat.conj())
+        assert np.allclose(other @ mat, np.eye(2), rtol=0, atol=1e-15)
+    assert INVERSE["cnot"] == "cnot"
+    for control, target in ((0, 1), (1, 0)):
+        u = oracle_cnot(control, target, 2)
+        assert np.array_equal(u.conj(), u)
+        assert np.array_equal(u @ u, np.eye(4))
 
 
 @given(circuits(max_qubits=6))
 @settings(max_examples=60, deadline=None)
 def test_circuit_unitary_matches_oracle(c):
-    """The kernel on the columns of the identity builds the circuit
+    """The kernel on each column of the identity builds the circuit
     unitary."""
-    u = run_kernel(c, np.eye(1 << c.n_qubits, dtype=complex))
+    eye = np.eye(1 << c.n_qubits, dtype=complex)
+    u = np.stack([run_kernel(c, e.copy()) for e in eye], axis=1)
     assert np.allclose(u, oracle_unitary(c), atol=1e-12)
 
 

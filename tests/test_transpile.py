@@ -74,6 +74,11 @@ def test_device_model_validation():
 def test_default_device():
     assert default_device(2) == DeviceModel(2, cnot_target=1)
     assert default_device(5) == DeviceModel(5, cnot_target=2)
+    # DeviceModel's own defaults are the documented device at every size.
+    for n in range(1, 11):
+        assert DeviceModel(n) == default_device(n)
+        assert DeviceModel(n).cnot_target == min(2, n - 1)
+        assert DeviceModel(n).robustness_rank == tuple(range(n))
 
 
 def test_reversal_matrix_identity():
