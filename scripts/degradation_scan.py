@@ -13,9 +13,9 @@ import sys
 
 from merminsim import NoiseModel
 from merminsim.experiment import SIZES
-from merminsim.noise import degradation_curve
+from merminsim.noise import NOISE_PARAMS, degradation_curve
 
-PARAMS = ("depol_1q", "depol_2q", "readout_flip")
+PARAMS = NOISE_PARAMS
 
 
 def main() -> None:

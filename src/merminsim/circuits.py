@@ -30,7 +30,7 @@ GATE_KINDS = {
 
 # The kind that undoes each kind on the same qubits, in the same order. Each
 # matrix in the set is symmetric, so its inverse conj(U)^T is also conj(U):
-# the same table gives the column-qubit gates of the density-matrix loop.
+# the same table gives the column-qubit kinds of the density-matrix loop.
 INVERSE = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
 
 PHASE_KINDS = frozenset({"s", "sdg", "t", "tdg"})
@@ -80,24 +80,21 @@ class Gate:
         object.__setattr__(self, "mask", sum(1 << q for q in self.qubits))
 
 
-# Gates on qubits below this are built at import and kept for the life of
-# the process: they cover every circuit (MAX_QUBITS) and the doubled
-# density-matrix vector (2 * noise.MAX_DM_QUBITS): raise it with either.
-PINNED_QUBITS = 12
-
+# Every gate a circuit can hold, built at import and kept for the life of
+# the process.
 _PINNED = {
     (g.kind, g.qubits): g
     for g in [Gate(kind, (q,)) for kind, arity in GATE_KINDS.items() if arity == 1
-              for q in range(PINNED_QUBITS)]
-    + [Gate("cnot", pair) for pair in permutations(range(PINNED_QUBITS), 2)]
+              for q in range(MAX_QUBITS)]
+    + [Gate("cnot", pair) for pair in permutations(range(MAX_QUBITS), 2)]
 }
 
 
 def gate(kind: str, qubits: tuple[int, ...]) -> Gate:
-    """The process-wide Gate for (kind, qubits): the 204 gates on qubits
-    below PINNED_QUBITS are built at import and shared. Any other gate is
-    built and validated on each call and not shared; one that fails
-    validation raises."""
+    """The process-wide Gate for (kind, qubits): the 150 gates on qubits
+    below MAX_QUBITS, which cover every circuit, are built at import and
+    shared. Any other gate is built and validated on each call and not
+    shared; one that fails validation raises."""
     return _PINNED.get((kind, qubits)) or Gate(kind, qubits)
 
 

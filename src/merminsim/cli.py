@@ -29,7 +29,7 @@ from .experiment import (
     sampled_class_counts,
 )
 from .mermin import bounds_for
-from .noise import NoiseModel, degradation_curve
+from .noise import NOISE_PARAMS, NoiseModel, degradation_curve
 from .transpile import DeviceModel, StarTopologyError, transpile
 
 
@@ -75,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrade", help="scan one noise parameter, csv to stdout")
     p.add_argument("n", type=int, choices=tuple(SIZES))
-    p.add_argument("--param", default="depol_2q",
-                   choices=("depol_1q", "depol_2q", "readout_flip"))
+    p.add_argument("--param", default="depol_2q", choices=NOISE_PARAMS)
     p.add_argument("--values", default="0,0.025,0.05,0.075,0.1",
                    help="comma-separated parameter values")
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .experiment import SIZES
-from .noise import NoiseModel
+from .noise import NOISE_PARAMS, NoiseModel
 from .transpile import DeviceModel
 
 
@@ -36,7 +36,6 @@ class RunConfig:
 
 
 _TOP_KEYS = {"n", "shots", "seed", "mode", "reduction", "output", "prep_phase"}
-_NOISE_KEYS = {"depol_1q", "depol_2q", "readout_flip"}
 _DEVICE_KEYS = {"cnot_target", "robustness_rank"}
 
 
@@ -56,8 +55,8 @@ def _parse_float(value: str, key: str, line: int) -> float:
 
 def parse_config(text: str) -> RunConfig:
     section = ""
-    seen: dict[tuple[str, str], int] = {}
-    values: dict[tuple[str, str], str] = {}
+    # (section, key) -> (value, line) of each key given.
+    entries: dict[tuple[str, str], tuple[str, int]] = {}
     last_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
@@ -75,20 +74,14 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        allowed = {"": _TOP_KEYS, "noise": _NOISE_KEYS, "device": _DEVICE_KEYS}[section]
+        allowed = {"": _TOP_KEYS, "noise": NOISE_PARAMS, "device": _DEVICE_KEYS}[section]
         if key not in allowed:
             raise ConfigError(f"unknown key {key}", lineno)
-        if (section, key) in seen:
+        if (section, key) in entries:
             raise ConfigError(f"duplicate key {key}", lineno)
-        seen[(section, key)] = lineno
-        values[(section, key)] = value
+        entries[(section, key)] = value, lineno
 
-    def lookup(section: str, key: str) -> tuple[str, int] | None:
-        if (section, key) in values:
-            return values[(section, key)], seen[(section, key)]
-        return None
-
-    got = lookup("", "n")
+    got = entries.get(("", "n"))
     if got is None:
         raise ConfigError("missing required key n", last_line)
     n = _parse_int(got[0], "n", got[1])
@@ -96,36 +89,36 @@ def parse_config(text: str) -> RunConfig:
         *rest, last = SIZES
         raise ConfigError(f"n must be {', '.join(map(str, rest))} or {last}", got[1])
 
-    got = lookup("", "shots")
+    got = entries.get(("", "shots"))
     shots = SIZES[n].shots if got is None else _parse_int(got[0], "shots", got[1])
     if shots < 1:
         raise ConfigError("shots must be >= 1", got[1])
     if shots > MAX_SHOTS:
         raise ConfigError(f"shots must be <= {MAX_SHOTS}", got[1])
 
-    got = lookup("", "seed")
+    got = entries.get(("", "seed"))
     seed = 0 if got is None else _parse_int(got[0], "seed", got[1])
     if seed < 0:
         raise ConfigError("seed must be >= 0", got[1])
 
-    got = lookup("", "mode")
+    got = entries.get(("", "mode"))
     mode = "exact" if got is None else got[0]
     if mode not in ("exact", "sampled"):
         raise ConfigError("mode must be exact or sampled", got[1])
 
-    got = lookup("", "reduction")
+    got = entries.get(("", "reduction"))
     reduction = "classes" if got is None else got[0]
     if reduction not in ("classes", "full-terms"):
         raise ConfigError("reduction must be classes or full-terms", got[1])
 
-    got = lookup("", "output")
+    got = entries.get(("", "output"))
     output = "table" if got is None else got[0]
     if output not in ("json", "table", "csv"):
         raise ConfigError("output must be json, table or csv", got[1])
     if output == "csv" and mode != "sampled":
         raise ConfigError("output csv requires mode sampled", got[1])
 
-    got = lookup("", "prep_phase")
+    got = entries.get(("", "prep_phase"))
     prep_phase: object = "max"
     if got is not None:
         token = got[0]
@@ -138,8 +131,8 @@ def parse_config(text: str) -> RunConfig:
             prep_phase = steps
 
     kwargs = {}
-    for key in _NOISE_KEYS:
-        got = lookup("noise", key)
+    for key in NOISE_PARAMS:
+        got = entries.get(("noise", key))
         if got is not None:
             p = _parse_float(got[0], key, got[1])
             if not 0.0 <= p <= 1.0:
@@ -149,12 +142,12 @@ def parse_config(text: str) -> RunConfig:
 
     target = None
     rank = None
-    got = lookup("device", "cnot_target")
+    got = entries.get(("device", "cnot_target"))
     if got is not None:
         target = _parse_int(got[0], "cnot_target", got[1])
         if not 0 <= target < n:
             raise ConfigError("cnot_target out of range", got[1])
-    got = lookup("device", "robustness_rank")
+    got = entries.get(("device", "robustness_rank"))
     if got is not None:
         try:
             rank = tuple(int(tok) for tok in got[0].split())

@@ -5,7 +5,7 @@ against the classical and quantum bounds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from numbers import Integral
 from typing import NamedTuple
@@ -50,19 +50,20 @@ GENUINE_THRESHOLD_4 = 8.0
 
 def resolve_prep_phase(n: int, selector) -> float:
     """Accept "max", "alt", any non-bool integer (numpy's too) as eighth
-    turns, or a raw angle in radians (must be a multiple of pi/4).
+    turns, or a raw angle in radians (must be a multiple of pi/4). A bool,
+    Python's or numpy's, is rejected.
 
     "max" is (n - 1) pi/4, the preparation phase that attains the positive
     quantum bound with X as the unprimed and Y as the primed observable: the
     expectation over the phase family is sinusoidal and peaks there (checked
     against the tests' dense X/Y operator)."""
-    if isinstance(selector, str):
+    if isinstance(selector, (str, bool, np.bool_)):
         if selector == "max":
             return (n - 1) * math.pi / 4
         if selector == "alt":
             return SIZES[n].alt_phase
         raise ValueError(f"unknown prep phase {selector!r}")
-    if isinstance(selector, Integral) and not isinstance(selector, bool):
+    if isinstance(selector, Integral):
         return (int(selector) % 8) * EIGHTH_TURN
     return float(selector)
 
@@ -270,30 +271,11 @@ def full_term_run(plan: ExperimentPlan, mode: str = "exact") -> MerminEstimate:
 
 
 def estimate_to_json(est: MerminEstimate) -> dict:
-    return {
-        "n": est.n_parties,
-        "mode": est.mode,
-        "reduction": est.reduction,
-        "prep_phase": est.prep_phase,
-        "shots_per_class": est.shots_per_class,
-        "seed": est.seed,
-        "per_class": [
-            {
-                "prime_count": c.prime_count,
-                "weight": c.weight,
-                "expectation": c.expectation,
-                "stderr": c.stderr,
-            }
-            for c in est.per_class
-        ],
-        "value": est.value,
-        "stderr": est.stderr,
-        "lr_bound": est.lr_bound,
-        "qm_bound": est.qm_bound,
-        "violates_lr": est.violates_lr,
-        "sigma_distance": est.sigma_distance,
-        "exceeds_genuine_threshold": est.exceeds_genuine_threshold,
-    }
+    """The estimate's fields, with n_parties as n and per_class as a list."""
+    doc = asdict(est)
+    doc["n"] = doc.pop("n_parties")
+    doc["per_class"] = list(doc["per_class"])
+    return doc
 
 
 def estimate_table(est: MerminEstimate) -> str:
@@ -322,7 +304,8 @@ def estimate_table(est: MerminEstimate) -> str:
         genuine = "n/a"
     else:
         genuine = "yes" if est.exceeds_genuine_threshold else "no"
-    lines.append(f"  exceeds genuine multipartite threshold (>8): {genuine}")
+    lines.append(f"  exceeds genuine multipartite threshold "
+                 f"(>{GENUINE_THRESHOLD_4:g}): {genuine}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,12 +13,12 @@ measurement tag must be z: lower x/y tags first (transpile or measured_in).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import INVERSE, Circuit, gate
+from .circuits import INVERSE, Circuit
 from .statevector import OutcomeDistribution, _apply_gate_inplace
 
 MAX_DM_QUBITS = 6
@@ -36,11 +36,15 @@ class NoiseModel:
     readout_flip: float = 0.0
 
     def __post_init__(self):
-        for name in ("depol_1q", "depol_2q", "readout_flip"):
+        for name in NOISE_PARAMS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability in [0, 1]")
 
+
+# The noise parameter names, in field order: config's [noise] keys and the
+# degrade scans read them from here.
+NOISE_PARAMS = tuple(f.name for f in fields(NoiseModel))
 
 ZERO_NOISE = NoiseModel()
 
@@ -84,8 +88,8 @@ def noisy_distribution(c: Circuit, m: NoiseModel) -> OutcomeDistribution:
     vec[0] = 1.0
     tens = vec.reshape((2,) * (2 * n))
     for g in c.gates:
-        _apply_gate_inplace(vec, g, 2 * n)
-        _apply_gate_inplace(vec, gate(INVERSE[g.kind], tuple(n + q for q in g.qubits)), 2 * n)
+        _apply_gate_inplace(vec, g.kind, g.qubits, 2 * n)
+        _apply_gate_inplace(vec, INVERSE[g.kind], [n + q for q in g.qubits], 2 * n)
         p = m.depol_2q if g.kind == "cnot" else m.depol_1q
         if p > 0:
             # Tr_Q(rho) is the sum of the 2^k diagonal blocks; each of those

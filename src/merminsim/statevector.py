@@ -2,21 +2,22 @@
 
 One in-place gate kernel on 1-D states serves the transpiler's phase scan and
 the density-matrix loop of noise.py, which reads the 4^n entries as a
-2n-qubit vector: a phase gate scales the |1> half of a reshaped view, X and
-H gather through a cached bit-flip permutation, and CNOT swaps cached index
-pairs. Index bit (n-1-q) belongs to qubit q, so qubit 0 is the most
-significant bit and the leftmost character of an outcome string.
-sample_counts draws seeded shot counts from a Z-basis outcome distribution.
+2n-qubit vector. It takes a gate kind and qubit indices, not a Gate, so the
+loop names column qubits n..2n-1 without building gates on them. A phase
+gate scales the |1> half of a reshaped view, X and H gather through a cached
+bit-flip permutation, and CNOT swaps cached index pairs. Index bit (n-1-q)
+belongs to qubit q, so qubit 0 is the most significant bit and the leftmost
+character of an outcome string. sample_counts draws seeded shot counts from
+a Z-basis outcome distribution.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .circuits import Gate
 
 # Identifier for the sampling scheme stored in every CountsTable: raw PCG64
 # doubles mapped through the inverse CDF. Kept independent of numpy's
@@ -100,8 +101,10 @@ def _cnot_indices(n: int, control: int, target: int):
     return sel, sel | (1 << pt)
 
 
-def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
-    """Mutates amps, a C-contiguous 1-D state of n qubits.
+def _apply_gate_inplace(amps: np.ndarray, kind: str, qubits: Sequence[int], n: int) -> None:
+    """Applies the gate of this kind (a circuits.GATE_KINDS key) on these
+    qubit indices to amps, a C-contiguous 1-D state of n qubits, in place.
+    The caller validates both: the indices need not be those of a circuit.
 
     A phase gate scales the |1> half of its qubit, X permutes by the bit
     flip, and H adds the flipped amplitudes times 1/sqrt(2) to the amplitudes
@@ -110,14 +113,13 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
     amplitudes: H forms the same products and sums, and the terms the other
     kinds leave out are products with 0 and 1.
     """
-    kind = gate.kind
     if kind == "cnot":
-        sel, swapped = _cnot_indices(n, gate.qubits[0], gate.qubits[1])
+        sel, swapped = _cnot_indices(n, qubits[0], qubits[1])
         tmp = amps[sel]
         amps[sel] = amps[swapped]
         amps[swapped] = tmp
         return
-    q = gate.qubits[0]
+    q = qubits[0]
     if kind == "h":
         moved = amps[_flip_perm(n, q)]
         moved *= _INV_SQRT2

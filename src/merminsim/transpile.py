@@ -17,7 +17,7 @@ also skips inverse pairs that are adjacent on their wires.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -69,12 +69,7 @@ class TranspileReport:
     phase_host_qubit: int
 
     def to_json(self) -> dict:
-        return {
-            "gate_count_before": self.gate_count_before,
-            "gate_count_after": self.gate_count_after,
-            "added_h_count": self.added_h_count,
-            "phase_host_qubit": self.phase_host_qubit,
-        }
+        return asdict(self)
 
 
 def _check_sizes(c: Circuit, d: DeviceModel) -> None:
@@ -176,7 +171,7 @@ def _movable_phase_positions(c: Circuit) -> list[int]:
         elif movable is None:
             for p in pending:
                 if p is not None:
-                    _apply_gate_inplace(amps, p, n)
+                    _apply_gate_inplace(amps, p.kind, p.qubits, n)
             pending = []
             stacks = [[] for _ in range(n)]
             off = float(np.vdot(amps, amps).real - abs(amps[0]) ** 2 - abs(amps[last]) ** 2)

@@ -265,7 +265,7 @@ def reference_movable_phase_positions(circuit) -> list[int]:
             off = float(mass.sum() - mass[0] - mass[last])
             if off <= 1e-9:
                 out.append(i)
-        _apply_gate_inplace(amps, g, n)
+        _apply_gate_inplace(amps, g.kind, g.qubits, n)
     return out
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from merminsim.circuits import (
     Circuit,
     CircuitFormatError,
+    MAX_QUBITS,
     Gate,
     MeasurementSetting,
     _PINNED,
@@ -46,14 +47,17 @@ def test_gates_are_interned():
 
 
 def test_pinned_gates_survive_a_full_cache():
-    """Gates on qubits below 12 stay shared, however many larger-index gates
-    are built, and the parser hands out the same objects."""
+    """Gates on qubits below MAX_QUBITS stay shared, however many
+    larger-index gates are built, and the parser hands out the same objects.
+    A gate on MAX_QUBITS or above is built anew on each call."""
     first = h(0)
-    for q in range(12, 12 + 1100):
+    for q in range(MAX_QUBITS, MAX_QUBITS + 1100):
         gate("x", (q,))
     assert h(0) is first is parse_circuit("qubits 1\nh 0\n").gates[0]
-    assert cnot(11, 10) is gate("cnot", (11, 10)) is _PINNED["cnot", (11, 10)]
-    assert len(_PINNED) == 204
+    assert cnot(9, 8) is gate("cnot", (9, 8)) is _PINNED["cnot", (9, 8)]
+    assert len(_PINNED) == 150
+    outside = gate("h", (MAX_QUBITS,))
+    assert outside == gate("h", (MAX_QUBITS,)) and outside is not gate("h", (MAX_QUBITS,))
 
 
 def test_rejected_gate_raises_every_time():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,3 +159,25 @@ def test_parse_config_fuzz(text):
         return
     assert isinstance(cfg, RunConfig)
     assert cfg.n in (3, 4, 5)
+
+
+def test_first_bad_noise_value_does_not_depend_on_the_hash_seed():
+    """With every [noise] value out of range, the error names the first one
+    in NoiseModel's field order, whatever PYTHONHASHSEED orders sets by."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from merminsim.config import ConfigError, parse_config\n"
+            "try:\n"
+            "    parse_config('n = 3\\n[noise]\\ndepol_1q = 2\\ndepol_2q = 3\\n'\n"
+            "                 'readout_flip = 4\\n')\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n")
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                         env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath))
+        for seed in range(1, 9)
+    ]
+    for proc in procs:
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert out == "depol_1q must be in [0, 1], line 3\n"

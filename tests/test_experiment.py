@@ -84,8 +84,10 @@ def test_resolve_prep_phase():
     for steps in (np.int64(2), np.uint8(2), np.int32(10)):
         assert resolve_prep_phase(3, steps) == resolve_prep_phase(3, 2)
     assert build_plan(3, np.int64(2)) == build_plan(3, 2)
-    assert resolve_prep_phase(3, True) == 1.0
-    with pytest.raises(ValueError, match="multiple of pi/4"):
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="unknown prep phase"):
+            resolve_prep_phase(3, flag)
+    with pytest.raises(ValueError, match="unknown prep phase True"):
         build_plan(3, True)
     with pytest.raises(ValueError):
         resolve_prep_phase(3, "other")

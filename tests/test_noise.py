@@ -132,8 +132,8 @@ def test_noisy_distribution_rejects_unlowered_tags():
 
 
 def test_noisy_distribution_builds_no_gate_after_warm_up(monkeypatch):
-    """The loop takes each conjugate gate from the interned table, so a
-    repeated call constructs no Gate."""
+    """The loop hands the kernel kinds and qubit indices, row and column
+    alike, so it builds no Gate at all: a repeated call constructs none."""
     c = parse_circuit((FIXTURES / "valid" / "ghz5_xyxxy_ideal.qc").read_text())
     c = c.with_gates(c.gates + (Gate("t", (1,)), Gate("x", (3,))))
     m = NoiseModel(depol_1q=0.01, depol_2q=0.05, readout_flip=0.02)

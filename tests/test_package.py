@@ -1,15 +1,25 @@
 """The package's public surface: the names `import merminsim` exposes, and
-the names the span tracer in perfbench/ patches."""
+the names the span tracer in perfbench/ patches; and its inner structure:
+which modules import which, and the one home of the noise parameter names."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import runpy
 import types
 from pathlib import Path
 
-import merminsim
+import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import merminsim
+from merminsim import cli
+from merminsim.config import ConfigError, parse_config
+from merminsim.noise import NOISE_PARAMS, NoiseModel
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # Positional parameters each tracer hook reads by index and by name.
 HOOK_PARAMETERS = {
@@ -66,6 +76,23 @@ PUBLIC_PARAMETERS = {
 }
 
 
+# The sibling modules each module of the package imports from, function-level
+# imports included. A new edge is a design change: state it in CHANGES.md.
+IMPORT_GRAPH = {
+    "__init__": {"circuits", "config", "experiment", "mermin", "noise", "statevector",
+                 "transpile"},
+    "__main__": {"cli"},
+    "circuits": set(),
+    "cli": {"circuits", "config", "experiment", "mermin", "noise", "transpile"},
+    "config": {"experiment", "noise", "transpile"},
+    "experiment": {"circuits", "mermin", "noise", "statevector", "transpile"},
+    "mermin": {"circuits"},
+    "noise": {"circuits", "experiment", "statevector"},
+    "statevector": set(),
+    "transpile": {"circuits", "statevector"},
+}
+
+
 def test_public_names_are_pinned():
     exposed = {
         name for name, value in vars(merminsim).items()
@@ -99,3 +126,41 @@ def test_traced_names_exist():
         assert callable(fn), key
         params = list(inspect.signature(fn).parameters)
         assert {i: params[i] for i in wanted} == wanted, key
+
+
+def test_internal_import_graph_is_pinned():
+    graph = {}
+    for path in sorted((ROOT / "src" / "merminsim").glob("*.py")):
+        graph[path.stem] = {
+            node.module for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+    assert graph == IMPORT_GRAPH
+
+
+def test_noise_parameters_have_one_source():
+    """NoiseModel's fields, the [noise] keys parse_config accepts and checks,
+    the degrade --param choices and the scan script's PARAMS are all
+    NOISE_PARAMS, in order."""
+    assert NOISE_PARAMS == ("depol_1q", "depol_2q", "readout_flip")
+    assert tuple(f.name for f in dataclasses.fields(NoiseModel)) == NOISE_PARAMS
+    for key in NOISE_PARAMS:
+        noise = parse_config(f"n = 3\n[noise]\n{key} = 0.5\n").noise
+        assert noise == NoiseModel(**{key: 0.5})
+    with pytest.raises(ConfigError, match="unknown key depol_3q"):
+        parse_config("n = 3\n[noise]\ndepol_3q = 0.5\n")
+    # Bad values listed last to first: the one reported is the first key
+    # that parse_config checks among those left.
+    checked = []
+    left = list(NOISE_PARAMS)
+    while left:
+        text = "n = 3\n[noise]\n" + "".join(f"{key} = 2\n" for key in reversed(left))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        checked.append(exc.value.what.split()[0])
+        left.remove(checked[-1])
+    assert tuple(checked) == NOISE_PARAMS
+    degrade = cli._build_parser()._subparsers._group_actions[0].choices["degrade"]
+    param = next(a for a in degrade._actions if a.dest == "param")
+    assert tuple(param.choices) == NOISE_PARAMS
+    assert runpy.run_path(str(ROOT / "scripts" / "degradation_scan.py"))["PARAMS"] == NOISE_PARAMS

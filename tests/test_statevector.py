@@ -51,7 +51,7 @@ def run_kernel(c: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
         amps = np.zeros(1 << c.n_qubits, dtype=complex)
         amps[0] = 1.0
     for g in c.gates:
-        _apply_gate_inplace(amps, g, c.n_qubits)
+        _apply_gate_inplace(amps, g.kind, g.qubits, c.n_qubits)
     return amps
 
 
@@ -98,7 +98,7 @@ def test_gate_kernel_matches_dense_oracle(kind, data):
     for state in states:
         first_form = state.copy()
         reference_apply_gate(first_form, Gate(kind, qubits), n)
-        _apply_gate_inplace(state, Gate(kind, qubits), n)
+        _apply_gate_inplace(state, kind, qubits, n)
         # numpy rounds a complex product of one-element arrays by another
         # loop, so on a one-qubit state T and Tdg can differ from the first
         # form in the last bit.
