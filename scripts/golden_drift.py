@@ -5,7 +5,9 @@ report how far their numbers moved.
 
 Each case is rendered as canonical JSON and split into its numbers and the
 text between them. A case whose text, or number count, differs is a
-non-numeric change; so is a case present in only one file. For every other
+non-numeric change, printed with its first differing text fragment as
+`OLD` -> `NEW`, each cut to WIDTH characters around the first differing
+character; a case present in only one file is one too. For every other
 changed case the largest absolute change of a number is printed. Exits 1 on
 any non-numeric change or on a number that moved more than 1e-12, else 0.
 """
@@ -13,10 +15,13 @@ any non-numeric change or on a number that moved more than 1e-12, else 0.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
+from itertools import zip_longest
 
 TOLERANCE = 1e-12
+WIDTH = 60
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
@@ -26,13 +31,26 @@ def split_numbers(text: str) -> tuple[list[str], list[float]]:
     return NUMBER.split(text), [float(tok) for tok in NUMBER.findall(text)]
 
 
-def case_drift(old, new) -> float | None:
-    """Largest absolute change of a number between two cases, or None when
-    they differ in anything but numbers."""
+def excerpt(fragment: str | None, start: int) -> str:
+    """WIDTH characters of fragment from start in backquotes, with ... where
+    it was cut; (none) for a fragment the other case lacks."""
+    if fragment is None:
+        return "(none)"
+    piece = fragment[start:start + WIDTH]
+    return f"`{'...' if start else ''}{piece}{'...' if start + WIDTH < len(fragment) else ''}`"
+
+
+def case_drift(old, new) -> float | str:
+    """Largest absolute change of a number between two cases or, when they
+    differ in anything but numbers, their first differing text fragment as
+    OLD -> NEW."""
     old_text, old_nums = split_numbers(json.dumps(old, sort_keys=True))
     new_text, new_nums = split_numbers(json.dumps(new, sort_keys=True))
-    if old_text != new_text or len(old_nums) != len(new_nums):
-        return None
+    # Unequal number counts give unequal fragment counts.
+    for a, b in zip_longest(old_text, new_text):
+        if a != b:
+            start = max(len(os.path.commonprefix([a or "", b or ""])) - WIDTH // 2, 0)
+            return f"{excerpt(a, start)} -> {excerpt(b, start)}"
     return max((abs(a - b) for a, b in zip(old_nums, new_nums)), default=0.0)
 
 
@@ -55,8 +73,8 @@ def main(argv: list[str]) -> int:
             continue
         changed += 1
         drift = case_drift(old[name], new[name])
-        if drift is None:
-            print(f"{name}: non-numeric change")
+        if isinstance(drift, str):
+            print(f"{name}: non-numeric change: {drift}")
             failed = True
             continue
         print(f"{name}: largest change {drift:.3g}")

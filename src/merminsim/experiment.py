@@ -5,7 +5,7 @@ against the classical and quantum bounds."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from numbers import Integral
 from typing import NamedTuple
@@ -38,7 +38,7 @@ class SizeDefaults(NamedTuple):
 # The supported party counts, listed nowhere else, with their default shots
 # and documented alternate preparation phase (radians). For n=4 and n=5 the
 # alternate phase attains the bound with negative sign under this package's
-# conventions, so evaluate |value|.
+# conventions, so combine judges the verdicts on |value|.
 SIZES = {
     3: SizeDefaults(1024, math.pi / 2),
     4: SizeDefaults(8192, 7 * math.pi / 4),
@@ -187,7 +187,8 @@ def combine(per_class, plan: ExperimentPlan, mode: str) -> MerminEstimate:
 
     per_class is a sequence of (prime_count, expectation, stderr) aligned
     with plan.classes; value = sum of signed_weight * expectation and the
-    stderr adds the independent unit errors in quadrature.
+    stderr adds the independent unit errors in quadrature. The verdicts
+    judge |value|.
     """
     per_class = list(per_class)
     if len(per_class) != len(plan.classes):
@@ -203,10 +204,11 @@ def combine(per_class, plan: ExperimentPlan, mode: str) -> MerminEstimate:
         entries.append(ClassEstimate(pc, cls.signed_weight, float(e), float(se)))
     stderr = math.sqrt(var)
     bounds = bounds_for(plan.n)
+    magnitude = abs(value)
     sigma = None
     if mode == "sampled" and stderr > 0.0:
-        sigma = (value - bounds.lr_bound) / stderr
-    genuine = bool(value > GENUINE_THRESHOLD_4) if plan.n == 4 else None
+        sigma = (magnitude - bounds.lr_bound) / stderr
+    genuine = bool(magnitude > GENUINE_THRESHOLD_4) if plan.n == 4 else None
     return MerminEstimate(
         n_parties=plan.n,
         mode=mode,
@@ -219,7 +221,7 @@ def combine(per_class, plan: ExperimentPlan, mode: str) -> MerminEstimate:
         stderr=float(stderr),
         lr_bound=bounds.lr_bound,
         qm_bound=bounds.qm_bound,
-        violates_lr=bool(value - bounds.lr_bound > 0),
+        violates_lr=bool(magnitude - bounds.lr_bound > 0),
         sigma_distance=sigma,
         exceeds_genuine_threshold=genuine,
     )
@@ -270,11 +272,16 @@ def full_term_run(plan: ExperimentPlan, mode: str = "exact") -> MerminEstimate:
     return run_plan(terms, mode)
 
 
+def _field_dict(record) -> dict:
+    """A record's fields by name, without copying their values."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def estimate_to_json(est: MerminEstimate) -> dict:
     """The estimate's fields, with n_parties as n and per_class as a list."""
-    doc = asdict(est)
+    doc = _field_dict(est)
     doc["n"] = doc.pop("n_parties")
-    doc["per_class"] = list(doc["per_class"])
+    doc["per_class"] = [_field_dict(c) for c in est.per_class]
     return doc
 
 

@@ -17,7 +17,7 @@ also skips inverse pairs that are adjacent on their wires.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -69,7 +69,7 @@ class TranspileReport:
     phase_host_qubit: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_sizes(c: Circuit, d: DeviceModel) -> None:
@@ -150,10 +150,10 @@ def _movable_phase_positions(c: Circuit) -> list[int]:
 
     Gates are applied lazily: they wait in a pending list until the next
     run start, the only point where the state is read. A gate that is the
-    inverse of the pending gate on top of every one of its wires cancels it,
-    and neither is simulated. Such a pair is adjacent on all its wires with
-    no read between its gates, so every state read is unchanged up to
-    rounding."""
+    inverse of the last pending gate touching any of its wires (the
+    peephole's mask rule) cancels it, and neither is simulated. Such a pair
+    is adjacent on all its wires with no read between its gates, so every
+    state read is unchanged up to rounding."""
     phases = [i for i, g in enumerate(c.gates) if g.kind in PHASE_KINDS]
     if not phases:
         return []
@@ -163,36 +163,26 @@ def _movable_phase_positions(c: Circuit) -> list[int]:
     last = (1 << n) - 1
     out = []
     movable = None  # verdict of the current run of phase gates
-    pending: list[Gate | None] = []
-    stacks: list[list[int]] = [[] for _ in range(n)]  # pending indices per wire
+    pending: list[Gate] = []
     for i, g in enumerate(c.gates[: phases[-1] + 1]):
         if g.kind not in PHASE_KINDS:
             movable = None
         elif movable is None:
             for p in pending:
-                if p is not None:
-                    _apply_gate_inplace(amps, p.kind, p.qubits, n)
-            pending = []
-            stacks = [[] for _ in range(n)]
+                _apply_gate_inplace(amps, p.kind, p.qubits, n)
+            pending.clear()
             off = float(np.vdot(amps, amps).real - abs(amps[0]) ** 2 - abs(amps[last]) ** 2)
             movable = off <= 1e-9
         if movable:
             out.append(i)
-        qubits = g.qubits
-        wire = stacks[qubits[0]]
-        if wire:
-            j = wire[-1]
-            p = pending[j]
-            # A gate has one or two qubits: the first and the last.
-            if p.qubits == qubits and INVERSE[p.kind] == g.kind and stacks[qubits[-1]][-1] == j:
-                pending[j] = None
-                for q in qubits:
-                    stacks[q].pop()
-                continue
-        j = len(pending)
-        for q in qubits:
-            stacks[q].append(j)
-        pending.append(g)
+        mask = g.mask
+        j = len(pending) - 1
+        while j >= 0 and not pending[j].mask & mask:
+            j -= 1
+        if j >= 0 and _inverse_pair(pending[j], g):
+            del pending[j]
+        else:
+            pending.append(g)
     return out
 
 

@@ -5,9 +5,10 @@ Kronecker products, with no code shared with the package kernels, so
 agreement between the two is meaningful. Noise channels are given by Kraus
 operators and applied as sums of tensor contractions, the reference for the
 package's closed-form depolarizing. The gate kernel, two transpiler passes,
-the circuit parser and the Mermin recursion are kept here in their first,
-plainer form as references for the package's faster ones, and the 3-, 4-
-and 5-party polynomials as a literal sign table.
+the phase scan's per-wire cancellation rule, the circuit parser and the
+Mermin recursion are kept here in their first, plainer form as references
+for the package's faster ones, and the 3-, 4- and 5-party polynomials as a
+literal sign table.
 """
 
 from __future__ import annotations
@@ -308,6 +309,39 @@ def reference_cancel_adjacent_pass(circuit):
             else:
                 i += 1
     return circuit.with_gates(gates)
+
+
+def reference_scan_applied_gates(circuit) -> list[tuple[str, tuple[int, ...]]]:
+    """The (kind, qubits) sequence the lazy phase scan hands the gate kernel,
+    by the scan's first rule: gates up to the last phase gate are held, with
+    a stack of held indices per wire, and all held gates are applied in
+    order at each run start (a phase gate not preceded by one). A gate that
+    is the inverse of the held gate on top of each of its wires, on the same
+    qubits, removes that gate instead of being held."""
+    gates = circuit.gates
+    phases = [i for i, g in enumerate(gates) if g.kind in PHASE_KINDS]
+    if not phases:
+        return []
+    applied = []
+    held: list = []
+    stacks: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    for i, g in enumerate(gates[: phases[-1] + 1]):
+        if g.kind in PHASE_KINDS and (i == 0 or gates[i - 1].kind not in PHASE_KINDS):
+            applied += [(p.kind, p.qubits) for p in held if p is not None]
+            held = []
+            stacks = [[] for _ in range(circuit.n_qubits)]
+        tops = {stacks[q][-1] if stacks[q] else None for q in g.qubits}
+        if len(tops) == 1 and None not in tops:
+            j = tops.pop()
+            if _reference_inverse_pair(held[j], g):
+                held[j] = None
+                for q in g.qubits:
+                    stacks[q].pop()
+                continue
+        for q in g.qubits:
+            stacks[q].append(len(held))
+        held.append(g)
+    return applied
 
 
 def reference_parse_circuit(text: str) -> Circuit:

@@ -165,6 +165,25 @@ def test_combine_verdicts():
     assert not below.violates_lr
 
 
+def test_verdicts_judge_the_magnitude():
+    """The alternate phases reach minus the bound for n = 4 and 5; the
+    verdicts judge |value| and value keeps its sign."""
+    for n in (4, 5):
+        est = run_plan(build_plan(n, prep_phase="alt"))
+        assert est.value < -est.lr_bound
+        assert est.violates_lr
+    assert run_plan(build_plan(4, prep_phase="alt")).exceeds_genuine_threshold is True
+    noisy = build_plan(5, prep_phase="alt", seed=3, noise=NoiseModel(depol_2q=0.03))
+    sampled = run_plan(noisy, mode="sampled")
+    assert sampled.value < 0 < sampled.stderr
+    assert sampled.violates_lr
+    assert sampled.sigma_distance == (abs(sampled.value) - 4) / sampled.stderr > 0
+    below = combine([(1, -0.4, 0.1), (3, 0.4, 0.1)], build_plan(3, shots=1024), "sampled")
+    assert below.value == pytest.approx(-1.6)
+    assert not below.violates_lr
+    assert below.sigma_distance == pytest.approx((1.6 - 2) / below.stderr)
+
+
 def test_combine_rejects_misaligned_classes():
     plan = build_plan(3, shots=1024)
     with pytest.raises(ValueError, match="class mismatch"):

@@ -91,8 +91,13 @@ def golden_case(value: float, label: str = "ok") -> dict:
     ({"a": golden_case(1.5), "b": golden_case(-2.0 + 2e-12)}, 1,
      ["b: largest change 2e-12", "1 of 2 cases changed"]),
     ({"a": golden_case(1.5, "no"), "b": golden_case(-2.0)}, 1,
-     ["a: non-numeric change", "1 of 2 cases changed"]),
+     [r'a: non-numeric change: `, \"label\": \"ok\"}\n"}` -> `, \"label\": \"no\"}\n"}`',
+      "1 of 2 cases changed"]),
     ({"a": golden_case(1.5)}, 1, ["b: only in OLD", "0 of 2 cases changed"]),
+    ({"a": golden_case(1.5), "b": golden_case(-2.0, "ok, then" + " more" * 12)}, 1,
+     [r'b: non-numeric change: `, \"label\": \"ok\"}\n"}` -> '
+      r'`, \"label\": \"ok, then more more more more more more more m...`',
+      "1 of 2 cases changed"]),
 ])
 def test_golden_drift(new, code, lines, tmp_path, capsys, monkeypatch):
     old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"

@@ -42,6 +42,7 @@ from conftest import (
     oracle_unitary,
     reference_cancel_adjacent_pass,
     reference_movable_phase_positions,
+    reference_scan_applied_gates,
 )
 from test_circuits import circuits
 
@@ -146,23 +147,40 @@ def test_cancel_pass_preserves_unitary_and_shrinks(c):
     assert oracle_equivalent(c, out)
 
 
-def test_scan_elides_wire_adjacent_inverse_pairs(monkeypatch):
-    """The scan never simulates an inverse pair adjacent on its wires, and
-    applies held gates before each run start reads the state: t 0 and tdg 0
-    are inverses split only by h 2, but tdg 0 starts a run."""
-    c = parse_circuit("qubits 3\nh 0\nh 0\ncnot 1 0\ncnot 1 0\nx 2\nx 2\n"
-                      "s 1\nh 2\nt 0\nh 2\ntdg 0\n")
+def recording_kernel(mp, applied: list) -> None:
+    """Wrap the scan's gate kernel so that it also records each (kind,
+    qubits) it is handed."""
     module = sys.modules[transpile.__module__]
-    applied = []
     kernel = module._apply_gate_inplace
 
-    def counting(amps, kind, qubits, n):
+    def recording(amps, kind, qubits, n):
         applied.append((kind, qubits))
         kernel(amps, kind, qubits, n)
 
-    monkeypatch.setattr(module, "_apply_gate_inplace", counting)
-    assert _movable_phase_positions(c) == reference_movable_phase_positions(c) == [6, 10]
-    assert applied == [(g.kind, g.qubits) for g in (s(1), h(2), t(0), h(2))]
+    mp.setattr(module, "_apply_gate_inplace", recording)
+
+
+def test_scan_elides_wire_adjacent_inverse_pairs(monkeypatch):
+    """The scan never simulates an inverse pair adjacent on its wires, and
+    applies held gates before each run start reads the state: t 0 and tdg 0
+    are inverses split only by h 2, but tdg 0 starts a run. A gate on one
+    wire of a held CNOT keeps it from cancelling, a gate on neither wire does
+    not, and a CNOT never cancels its reverse. Each case ends in a phase
+    gate, so every held gate is applied."""
+    cases = [
+        ("h 0\nh 0\ncnot 1 0\ncnot 1 0\nx 2\nx 2\ns 1\nh 2\nt 0\nh 2\ntdg 0",
+         [s(1), h(2), t(0), h(2)], [6, 10]),
+        ("cnot 0 2\nh 2\ncnot 0 2\ns 0", [cnot(0, 2), h(2), cnot(0, 2)], []),
+        ("cnot 0 2\nh 1\ncnot 0 2\ns 0", [h(1)], []),
+        ("cnot 0 2\ncnot 2 0\ns 0", [cnot(0, 2), cnot(2, 0)], [2]),
+    ]
+    recorded = []
+    recording_kernel(monkeypatch, recorded)
+    for text, applied, positions in cases:
+        c = parse_circuit(f"qubits 3\n{text}\n")
+        recorded.clear()
+        assert _movable_phase_positions(c) == reference_movable_phase_positions(c) == positions
+        assert recorded == [(g.kind, g.qubits) for g in applied] == reference_scan_applied_gates(c)
 
 
 def test_passes_emit_interned_gates():
@@ -456,6 +474,23 @@ def test_passes_match_reference_implementations(case):
     assert list(placed.gates) == want
     for circuit in (c, reversed_, placed):
         assert cancel_adjacent_pass(circuit).gates == reference_cancel_adjacent_pass(circuit).gates
+
+
+@given(star_circuits())
+@settings(max_examples=150, deadline=None)
+def test_scan_applies_the_per_wire_stack_sequence(case):
+    """The scan's mask look-back hands the kernel exactly the gates the
+    per-wire-stack rule in conftest holds, in the same order, and returns
+    the positions of the full scan, on the circuit as written and after
+    CNOT reversal."""
+    c, device = case
+    for circuit in (c, reverse_cnot_pass(c, device)):
+        recorded = []
+        with pytest.MonkeyPatch.context() as mp:
+            recording_kernel(mp, recorded)
+            positions = _movable_phase_positions(circuit)
+        assert recorded == reference_scan_applied_gates(circuit)
+        assert positions == reference_movable_phase_positions(circuit)
 
 
 def reversal_first_transpile(c: Circuit, d: DeviceModel):
