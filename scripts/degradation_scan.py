@@ -2,7 +2,8 @@
 long-format CSV: n,param,value_of_param,mermin_value.
 
 Useful for plotting how the violation decays with qubit count and error
-rate; every row is an exact density-matrix evaluation, no sampling.
+rate; every row is an exact evaluation of the noisy state in the Pauli
+basis, no sampling.
 """
 
 from __future__ import annotations

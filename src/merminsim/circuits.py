@@ -28,9 +28,7 @@ GATE_KINDS = {
     "cnot": 2,
 }
 
-# The kind that undoes each kind on the same qubits, in the same order. Each
-# matrix in the set is symmetric, so its inverse conj(U)^T is also conj(U):
-# the same table gives the column-qubit kinds of the density-matrix loop.
+# The kind that undoes each kind on the same qubits, in the same order.
 INVERSE = {"h": "h", "x": "x", "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "cnot": "cnot"}
 
 PHASE_KINDS = frozenset({"s", "sdg", "t", "tdg"})

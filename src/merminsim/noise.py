@@ -1,27 +1,25 @@
 """Error channels: depolarizing noise after each gate on the touched qubits
 and a per-qubit readout bit flip at measurement.
 
-The noise acts on an exact density matrix, held in one complex 4^n array
-and updated in place. Read row-major, its entries are a 2n-qubit vector
-whose qubit q is row qubit q and whose qubit n + q is column qubit q, so
-the statevector gate kernel applies each gate's U to the row qubits and
-conj(U) to the column qubits. Depolarizing with rate p on the gate's k
-qubits is the closed form rho -> (1 - p) rho + p Tr_Q(rho) (x) I / 2^k, with
-no Kraus sum. Readout flips act on the final Z-basis probabilities, so every
-measurement tag must be z: lower x/y tags first (transpile or measured_in).
+The state is held in the Pauli basis, as {(x_mask, z_mask): Tr(rho P)} over
+the Hermitian Paulis P = i^(x.z) X^x Z^z, with bit n-1-q for qubit q as in
+outcome indices. Both channels are Pauli channels, so each scales terms.
+Readout flips act on Z-basis outcomes, so every measurement tag must be z:
+lower x/y tags first (transpile or measured_in).
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .circuits import INVERSE, Circuit
-from .statevector import OutcomeDistribution, _apply_gate_inplace
+from .circuits import Circuit
+from .statevector import OutcomeDistribution
 
-MAX_DM_QUBITS = 6
+# The most Pauli terms noisy_distribution holds after a gate: as many as a
+# 6-qubit state has. Plan circuits need about 1.5 * 2^n.
+MAX_TERMS = 4 ** 6
 
 # calibrate_depol_2q stops once the value is this close to the target, or
 # after this many bisection steps.
@@ -48,64 +46,75 @@ NOISE_PARAMS = tuple(f.name for f in fields(NoiseModel))
 
 ZERO_NOISE = NoiseModel()
 
+_I, _X, _Y, _Z = (0, 0), (1, 0), (1, 1), (0, 1)
+_R = 1.0 / math.sqrt(2.0)
 
-@lru_cache(maxsize=None)
-def _diagonal_blocks(n: int, qubits: tuple[int, ...]):
-    """Indices into the (2,) * 2n tensor of a density matrix that select each
-    block whose row and column bits agree on the given qubits."""
-    blocks = []
-    for bits in itertools.product((0, 1), repeat=len(qubits)):
-        idx = [slice(None)] * (2 * n)
-        for q, b in zip(qubits, bits):
-            idx[q] = idx[n + q] = b
-        # With the Ellipsis a full index (k = n) is a 0-d view, not a scalar copy.
-        blocks.append((*idx, Ellipsis))
-    return tuple(blocks)
+# U P U^dag for each one-qubit kind and one-qubit Pauli (x, z), as
+# (Pauli, weight) pairs.
+CONJUGATION = {
+    kind: {_I: ((_I, 1.0),), **images}
+    for kind, images in {
+        "h": {_X: ((_Z, 1.0),), _Y: ((_Y, -1.0),), _Z: ((_X, 1.0),)},
+        "x": {_X: ((_X, 1.0),), _Y: ((_Y, -1.0),), _Z: ((_Z, -1.0),)},
+        "s": {_X: ((_Y, 1.0),), _Y: ((_X, -1.0),), _Z: ((_Z, 1.0),)},
+        "sdg": {_X: ((_Y, -1.0),), _Y: ((_X, 1.0),), _Z: ((_Z, 1.0),)},
+        "t": {_X: ((_X, _R), (_Y, _R)), _Y: ((_X, -_R), (_Y, _R)), _Z: ((_Z, 1.0),)},
+        "tdg": {_X: ((_X, _R), (_Y, -_R)), _Y: ((_X, _R), (_Y, _R)), _Z: ((_Z, 1.0),)},
+    }.items()
+}
 
 
-def _readout_confusion(probs: np.ndarray, n: int, r: float) -> np.ndarray:
-    if r == 0.0:
-        return probs
-    tens = probs.reshape((2,) * n)
-    for axis in range(n):
-        tens = (1.0 - r) * tens + r * np.flip(tens, axis=axis)
-    return tens.reshape(-1)
+def _conjugate(terms: dict, kind: str, qubits: tuple[int, ...], n: int) -> dict:
+    """The terms of U rho U^dag for the gate of this kind on these qubits."""
+    out: dict = {}
+    if kind == "cnot":
+        a, b = (n - 1 - q for q in qubits)
+        for (x, z), v in terms.items():
+            xa, za, xb, zb = x >> a & 1, z >> a & 1, x >> b & 1, z >> b & 1
+            # Aaronson & Gottesman: X_a -> X_a X_b, Z_b -> Z_a Z_b, and the
+            # sign flips where x_a z_b (x_b ^ z_a ^ 1) is 1, as X_a Z_b -> -Y_a Y_b.
+            out[x ^ xa << b, z ^ zb << a] = -v if xa & zb & (xb ^ za ^ 1) else v
+        return out
+    s = n - 1 - qubits[0]
+    rest = ~(1 << s)
+    images = CONJUGATION[kind]
+    for (x, z), v in terms.items():
+        for (px, pz), w in images[x >> s & 1, z >> s & 1]:
+            key = (x & rest | px << s, z & rest | pz << s)
+            out[key] = out.get(key, 0.0) + w * v
+    return out
 
 
 def noisy_distribution(c: Circuit, m: NoiseModel) -> OutcomeDistribution:
-    """Exact density-matrix propagation: each gate's unitary, then
-    depolarizing on the touched qubits at the gate's rate; per-qubit readout
-    confusion on the final Z-basis probabilities, so every tag must be z.
-    The 4^n entries are allocated once and every step updates them in place."""
+    """Exact propagation in the Pauli basis from |0...0>, whose terms are the
+    2^n Z-strings: each gate conjugates every term, then depolarizing scales
+    the terms on the touched qubits; readout flips scale the Z-strings, and
+    the Z-basis probabilities are their Walsh-Hadamard transform over 2^n.
+    Raises ValueError once a gate leaves more than MAX_TERMS terms."""
     n = c.n_qubits
-    if not 1 <= n <= MAX_DM_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_DM_QUBITS} for density matrices")
     if any(b != "z" for b in c.measure_basis):
         raise ValueError("noisy_distribution measures in z only: lower x/y measurement "
                          "tags first (transpile or measured_in)")
-    dim = 1 << n
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[0] = 1.0
-    tens = vec.reshape((2,) * (2 * n))
+    terms = {(0, z): 1.0 for z in range(1 << n)}
     for g in c.gates:
-        _apply_gate_inplace(vec, g.kind, g.qubits, 2 * n)
-        _apply_gate_inplace(vec, INVERSE[g.kind], [n + q for q in g.qubits], 2 * n)
+        terms = _conjugate(terms, g.kind, g.qubits, n)
+        if len(terms) > MAX_TERMS:
+            raise ValueError(f"more than MAX_TERMS = {MAX_TERMS} Pauli terms")
         p = m.depol_2q if g.kind == "cnot" else m.depol_1q
         if p > 0:
-            # Tr_Q(rho) is the sum of the 2^k diagonal blocks; each of those
-            # blocks then receives p / 2^k times it.
-            blocks = _diagonal_blocks(n, g.qubits)
-            traced = sum(tens[idx] for idx in blocks) * (p / len(blocks))
-            tens *= 1.0 - p
-            for idx in blocks:
-                tens[idx] += traced
-    probs = _readout_confusion(vec[:: dim + 1].real, n, m.readout_flip)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("probability mass drifted beyond tolerance")
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return OutcomeDistribution(n, probs)
+            wires = sum(1 << (n - 1 - q) for q in g.qubits)
+            terms = {k: v * (1.0 - p) if (k[0] | k[1]) & wires else v for k, v in terms.items()}
+    f = 1.0 - 2.0 * m.readout_flip
+    probs = np.zeros(1 << n)
+    for (x, z), v in terms.items():
+        if not x:
+            probs[z] = v * f ** z.bit_count()
+    half = 1
+    while half < 1 << n:
+        pairs = probs.reshape(-1, 2, half)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+        half *= 2
+    return OutcomeDistribution(n, probs / (1 << n))
 
 
 def degradation_curve(n: int, m_grid) -> list[tuple[NoiseModel, float]]:

@@ -1,11 +1,9 @@
 """The gate kernel and the outcome sampler of few-qubit simulation.
 
-One in-place gate kernel on 1-D states serves the transpiler's phase scan and
-the density-matrix loop of noise.py, which reads the 4^n entries as a
-2n-qubit vector. It takes a gate kind and qubit indices, not a Gate, so the
-loop names column qubits n..2n-1 without building gates on them. A phase
-gate scales the |1> half of a reshaped view, X and H gather through a cached
-bit-flip permutation, and CNOT swaps cached index pairs. Index bit (n-1-q)
+One in-place gate kernel on 1-D states, taking a gate kind and qubit
+indices, serves the transpiler's phase scan. A phase gate scales the |1>
+half of a reshaped view, X and H gather through a cached bit-flip
+permutation, and CNOT swaps cached index pairs. Index bit (n-1-q)
 belongs to qubit q, so qubit 0 is the most significant bit and the leftmost
 character of an outcome string. sample_counts draws seeded shot counts from
 a Z-basis outcome distribution.

@@ -4,7 +4,7 @@ The oracle builds every unitary from literal 2x2 matrices and explicit
 Kronecker products, with no code shared with the package kernels, so
 agreement between the two is meaningful. Noise channels are given by Kraus
 operators and applied as sums of tensor contractions, the reference for the
-package's closed-form depolarizing. The gate kernel, two transpiler passes,
+package's per-term Pauli-basis depolarizing. The gate kernel, two transpiler passes,
 the phase scan's per-wire cancellation rule, the circuit parser and the
 Mermin recursion are kept here in their first, plainer form as references
 for the package's faster ones, and the 3-, 4- and 5-party polynomials as a

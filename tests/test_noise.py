@@ -15,13 +15,17 @@ from merminsim.circuits import (
     h,
     measured_in,
     parse_circuit,
+    t,
     with_setting,
 )
 from merminsim.experiment import build_plan, run_plan
 from merminsim.mermin import bounds_for
 from merminsim.noise import (
+    CONJUGATION,
+    MAX_TERMS,
     NoiseModel,
     ZERO_NOISE,
+    _conjugate,
     calibrate_depol_2q,
     degradation_curve,
     noisy_distribution,
@@ -29,9 +33,12 @@ from merminsim.noise import (
 
 from conftest import (
     FIXTURES,
+    ORACLE_1Q,
+    ORACLE_PAULI,
     apply_channel,
     depolarizing_channel,
     kron_chain,
+    oracle_cnot,
     oracle_state,
     oracle_unitary,
 )
@@ -114,11 +121,6 @@ def test_full_depolarizing_gives_even_odd_balance():
     assert even == pytest.approx(0.5, abs=1e-10)
 
 
-def test_noisy_distribution_size_cap():
-    with pytest.raises(ValueError):
-        noisy_distribution(Circuit(7, ()), ZERO_NOISE)
-
-
 def test_noisy_distribution_rejects_unlowered_tags():
     """Only the Z basis is measured: read in X, H|0> gives [1, 0], not the
     Z-basis [0.5, 0.5], so an x or y tag is an error, not a silent z."""
@@ -132,8 +134,8 @@ def test_noisy_distribution_rejects_unlowered_tags():
 
 
 def test_noisy_distribution_builds_no_gate_after_warm_up(monkeypatch):
-    """The loop hands the kernel kinds and qubit indices, row and column
-    alike, so it builds no Gate at all: a repeated call constructs none."""
+    """The propagation reads each gate's kind and qubit indices and builds
+    no Gate at all: a repeated call constructs none."""
     c = parse_circuit((FIXTURES / "valid" / "ghz5_xyxxy_ideal.qc").read_text())
     c = c.with_gates(c.gates + (Gate("t", (1,)), Gate("x", (3,))))
     m = NoiseModel(depol_1q=0.01, depol_2q=0.05, readout_flip=0.02)
@@ -151,16 +153,19 @@ def test_noisy_distribution_builds_no_gate_after_warm_up(monkeypatch):
     assert np.array_equal(first, second)
 
 
-def test_noisy_distribution_rejects_before_allocating():
-    # A 10-qubit density matrix would take 16 MB.
+def test_noisy_distribution_term_cap():
+    """H then T on each of 8 qubits spreads |0...0> over 3^8 > MAX_TERMS
+    terms; the dict stops at the cap, well before the 4^8 terms of the
+    whole state."""
+    c = Circuit(8, tuple(h(q) for q in range(8)) + tuple(t(q) for q in range(8)))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"n_qubits must be in 1\.\.6 for density matrices"):
-            noisy_distribution(Circuit(10, (h(9),)), ZERO_NOISE)
+        with pytest.raises(ValueError, match=f"more than MAX_TERMS = {MAX_TERMS} Pauli terms"):
+            noisy_distribution(c, ZERO_NOISE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < 2 * 2**20
 
 
 def oracle_noisy_probabilities(c: Circuit, m: NoiseModel) -> np.ndarray:
@@ -201,6 +206,53 @@ def test_noisy_distribution_matches_kraus_oracle(c, p1, p2, r):
     model = NoiseModel(depol_1q=p1, depol_2q=p2, readout_flip=r)
     got = noisy_distribution(c, model).probabilities
     assert np.allclose(got, oracle_noisy_probabilities(c, model), rtol=0, atol=1e-12)
+
+
+MIXED = NoiseModel(depol_1q=0.01, depol_2q=0.05, readout_flip=0.02)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_noisy_distribution_beyond_six_qubits(n):
+    """GHZ-shaped circuits past the old 6-qubit cap stay small in the Pauli
+    basis: exact against the oracle state, and, for n = 7, against the
+    Kraus oracle under mixed noise."""
+    c = with_setting(ghz_circuit(n, math.pi / 4), MeasurementSetting(n, 0b1011001))
+    ideal = np.abs(oracle_state(c)) ** 2
+    assert np.allclose(noisy_distribution(c, ZERO_NOISE).probabilities, ideal, rtol=0, atol=1e-12)
+    if n == 7:
+        got = noisy_distribution(c, MIXED).probabilities
+        assert np.allclose(got, oracle_noisy_probabilities(c, MIXED), rtol=0, atol=1e-12)
+
+
+def pauli_matrix(x: int, z: int, n: int) -> np.ndarray:
+    """The Hermitian Pauli i^(x.z) X^x Z^z, bit n-1-q of each mask for qubit q."""
+    factors = []
+    for q in range(n):
+        xq, zq = x >> (n - 1 - q) & 1, z >> (n - 1 - q) & 1
+        mat = ORACLE_PAULI["x"] if xq else ORACLE_PAULI["i"]
+        mat = mat @ (ORACLE_PAULI["z"] if zq else ORACLE_PAULI["i"])
+        factors.append(mat * 1j ** (xq * zq))
+    return kron_chain(factors)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_1Q))
+def test_one_qubit_conjugation_table_matches_oracle(kind):
+    u = ORACLE_1Q[kind]
+    for (x, z), images in CONJUGATION[kind].items():
+        want = u @ pauli_matrix(x, z, 1) @ u.conj().T
+        got = sum(w * pauli_matrix(px, pz, 1) for (px, pz), w in images)
+        assert np.allclose(got, want, rtol=0, atol=1e-15), (kind, x, z)
+    assert set(CONJUGATION[kind]) == {(0, 0), (1, 0), (1, 1), (0, 1)}
+
+
+@pytest.mark.parametrize("control,target", [(0, 1), (1, 0)])
+def test_cnot_sign_rule_matches_oracle(control, target):
+    u = oracle_cnot(control, target, 2)
+    for x in range(4):
+        for z in range(4):
+            want = u @ pauli_matrix(x, z, 2) @ u.conj().T
+            ((px, pz), w), = _conjugate({(x, z): 1.0}, "cnot", (control, target), 2).items()
+            assert np.array_equal(w * pauli_matrix(px, pz, 2), want), (x, z)
 
 
 def test_degradation_curve_zero_point():

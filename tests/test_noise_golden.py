@@ -61,6 +61,18 @@ def test_noisy_probabilities_match_pinned(name):
     assert digest(*CASES[name]) == _load_golden()[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_noisy_probabilities_are_exact_distributions(name):
+    """No clip or renormalisation guards the result, and sample_counts needs
+    nonnegative probabilities: every plan circuit gives them, summing to
+    exactly 1.0."""
+    n, reduction, k, label = CASES[name]
+    for circ in _circuits(n, reduction, k):
+        probs = noisy_distribution(circ, MODELS[label]).probabilities
+        assert probs.min() >= 0
+        assert probs.sum() == 1.0
+
+
 def test_golden_covers_every_case():
     assert sorted(_load_golden()) == sorted(CASES)
 

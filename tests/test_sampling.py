@@ -131,7 +131,8 @@ SHOT_COUNTS = st.one_of(
 @given(distributions(), SHOT_COUNTS, st.integers(0, 2**64 - 1))
 def test_sample_counts_match_reference(dist, shots, seed):
     """Identical counts hold for nonnegative probabilities, which every
-    pipeline distribution has (|amp|^2, and noisy_distribution clips)."""
+    pipeline distribution has: |amp|^2, and noisy_distribution's, which
+    test_noise_golden checks on every plan circuit."""
     table = sample_counts(dist, shots, seed)
     assert np.array_equal(table.counts, reference_counts(dist, shots, seed))
 

@@ -116,6 +116,21 @@ def test_golden_drift_needs_two_files(capsys, monkeypatch):
     assert "usage" in capsys.readouterr().err
 
 
+def test_noise_drift_same_tree(capsys, monkeypatch):
+    src = str(ROOT / "src")
+    with pytest.raises(SystemExit) as exc:
+        run_script("noise_drift.py", src, src, monkeypatch=monkeypatch)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 144 cases changed"]
+
+
+def test_noise_drift_needs_two_trees(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_script("noise_drift.py", "only-one", monkeypatch=monkeypatch)
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+
+
 def bench_record(tmp_path, side: str, seed: int, ops: float, p50: float, *, digests=(),
                  failed: int = 0, trace: int = 0, revision: str = "abc") -> str:
     """A perfbench record with only the fields bench_summary.py reads."""

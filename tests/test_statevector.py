@@ -275,18 +275,18 @@ def test_kraus_channel_validation():
 
 
 def test_density_matrix_zero():
-    """noisy_distribution starts every size up to its cap from
-    |0...0><0...0|."""
-    for n in range(1, 7):
+    """noisy_distribution starts every circuit size from |0...0><0...0|,
+    whose Pauli terms are the 2^n Z-strings."""
+    for n in range(1, 11):
         want = np.zeros(1 << n)
         want[0] = 1.0
         assert np.array_equal(noisy_distribution(Circuit(n, ()), ZERO_NOISE).probabilities, want)
 
 
 def test_gate_conj_is_entrywise_conjugate():
-    """One table gives both the inverse kind, for the peephole pass, and the
-    entrywise-conjugate kind, for the density matrix's column qubits:
-    checked against the oracle's literal matrices."""
+    """INVERSE gives the kind that undoes each kind, for the peephole pass and
+    the phase scan; each matrix in the set is symmetric, so that kind is also
+    the entrywise conjugate: checked against the oracle's literal matrices."""
     assert INVERSE.keys() == GATE_KINDS.keys()
     for kind, mat in ORACLE_1Q.items():
         other = ORACLE_1Q[INVERSE[kind]]
