@@ -85,6 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str, error: type[ValueError]) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale. A file that is
+    not UTF-8 raises error (CircuitFormatError or ConfigError) on the line of
+    its first bad byte, counted the way str.splitlines counts lines, as both
+    parsers do."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        raise error("not UTF-8 text", len((before + "x").splitlines())) from None
+
+
 def _cmd_bounds(args) -> int:
     rec = bounds_for(args.n)
     if args.json:
@@ -98,7 +111,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_transpile(args) -> int:
-    text = Path(args.circuit).read_text()
+    text = _read_text(args.circuit, CircuitFormatError)
     circ = parse_circuit(text)
     rank = None
     if args.rank is not None:
@@ -121,7 +134,7 @@ def _cmd_transpile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(_read_text(args.config, ConfigError))
     csv = cfg.output == "csv"
     plan = build_plan(
         cfg.n,
@@ -164,7 +177,7 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_parse(args) -> int:
-    text = Path(args.circuit).read_text()
+    text = _read_text(args.circuit, CircuitFormatError)
     circ = parse_circuit(text)
     sys.stdout.write(serialize_circuit(circ))
     return 0

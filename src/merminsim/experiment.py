@@ -157,10 +157,8 @@ def build_plan(
 
 @lru_cache(maxsize=None)
 def _parity_signs(n: int) -> np.ndarray:
-    par = np.arange(1 << n, dtype=np.uint32)
-    for shift in (16, 8, 4, 2, 1):
-        par = par ^ (par >> shift)
-    return 1.0 - 2.0 * (par & 1).astype(float)
+    """(-1)^(parity of outcome i) for every outcome i of n qubits."""
+    return np.array([-1.0 if i.bit_count() & 1 else 1.0 for i in range(1 << n)])
 
 
 def parity_expectation_probs(probs) -> float:
@@ -170,6 +168,9 @@ def parity_expectation_probs(probs) -> float:
     if isinstance(probs, OutcomeDistribution):
         probs = probs.probabilities
     arr = np.asarray(probs, dtype=float)
+    if arr.ndim != 1 or not arr.size or arr.size & (arr.size - 1):
+        raise ValueError(f"parity table must be 1-D with a power-of-two length, "
+                         f"got shape {arr.shape}")
     return float(np.dot(_parity_signs(arr.size.bit_length() - 1), arr))
 
 

@@ -7,7 +7,9 @@ MSB-first, party 0 leftmost) means party i uses its primed observable.
 
 Both bounds are the peak magnitude of one Walsh-Hadamard transform of the
 coefficients (Werner & Wolf, PRA 64, 032112 (2001); Zukowski & Brukner,
-PRL 88, 210401 (2002)), computed exactly in pure Python.
+PRL 88, 210401 (2002)), computed exactly in pure Python by
+statevector.walsh_hadamard, the transform that also gives the noisy outcome
+probabilities.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .circuits import MAX_QUBITS
+from .statevector import walsh_hadamard
 
 @dataclass(frozen=True)
 class MerminPolynomial:
@@ -93,14 +96,7 @@ def _peak_transform(p: MerminPolynomial, weights) -> int | float:
     vec = [0] * (1 << n)
     for coeff, mask in p.terms:
         vec[mask] = coeff * weights[mask.bit_count() % 4]
-    half = 1
-    while half < len(vec):
-        for start in range(0, len(vec), 2 * half):
-            for i in range(start, start + half):
-                a, b = vec[i], vec[i + half]
-                vec[i], vec[i + half] = a + b, a - b
-        half *= 2
-    return max(abs(v) for v in vec)
+    return max(abs(v) for v in walsh_hadamard(vec))
 
 
 def lr_bound(p: MerminPolynomial) -> int:

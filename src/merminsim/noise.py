@@ -4,6 +4,8 @@ and a per-qubit readout bit flip at measurement.
 The state is held in the Pauli basis, as {(x_mask, z_mask): Tr(rho P)} over
 the Hermitian Paulis P = i^(x.z) X^x Z^z, with bit n-1-q for qubit q as in
 outcome indices. Both channels are Pauli channels, so each scales terms.
+The Z-basis probabilities are statevector.walsh_hadamard of the Z-string
+coefficients, the transform the Mermin bounds use, over 2^n.
 Readout flips act on Z-basis outcomes, so every measurement tag must be z:
 lower x/y tags first (transpile or measured_in).
 """
@@ -12,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from .circuits import Circuit
-from .statevector import OutcomeDistribution
+from .statevector import OutcomeDistribution, walsh_hadamard
 
 # The most Pauli terms noisy_distribution holds after a gate: as many as a
 # 6-qubit state has. Plan circuits need about 1.5 * 2^n.
@@ -105,16 +105,11 @@ def noisy_distribution(c: Circuit, m: NoiseModel) -> OutcomeDistribution:
             wires = sum(1 << (n - 1 - q) for q in g.qubits)
             terms = {k: v * (1.0 - p) if (k[0] | k[1]) & wires else v for k, v in terms.items()}
     f = 1.0 - 2.0 * m.readout_flip
-    probs = np.zeros(1 << n)
+    zs = [0.0] * (1 << n)
     for (x, z), v in terms.items():
         if not x:
-            probs[z] = v * f ** z.bit_count()
-    half = 1
-    while half < 1 << n:
-        pairs = probs.reshape(-1, 2, half)
-        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
-        half *= 2
-    return OutcomeDistribution(n, probs / (1 << n))
+            zs[z] = v * f ** z.bit_count()
+    return OutcomeDistribution(n, [v / (1 << n) for v in walsh_hadamard(zs)])
 
 
 def degradation_curve(n: int, m_grid) -> list[tuple[NoiseModel, float]]:

@@ -1,19 +1,15 @@
-"""The gate kernel and the outcome sampler of few-qubit simulation.
+"""Z-basis outcome arithmetic: probability and count tables indexed by
+outcome, one Walsh-Hadamard transform, and the seeded shot sampler.
 
-One in-place gate kernel on 1-D states, taking a gate kind and qubit
-indices, serves the transpiler's phase scan. A phase gate scales the |1>
-half of a reshaped view, X and H gather through a cached bit-flip
-permutation, and CNOT swaps cached index pairs. Index bit (n-1-q)
-belongs to qubit q, so qubit 0 is the most significant bit and the leftmost
-character of an outcome string. sample_counts draws seeded shot counts from
-a Z-basis outcome distribution.
+Index bit (n-1-q) belongs to qubit q, so qubit 0 is the most significant bit
+and the leftmost character of an outcome string. walsh_hadamard serves the
+Mermin bounds, exactly on Gaussian integers, and noisy_distribution, which
+maps Z-string coefficients to probabilities with it. sample_counts draws
+seeded shot counts from a Z-basis outcome distribution.
 """
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,11 +22,6 @@ RNG_ID = "pcg64-invcdf"
 # a power of two, so that bucketing a double is exact.
 _CHUNK = 1 << 16
 _GUIDE_BUCKETS = 1 << 12
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# The phase each phase kind puts on the |1> amplitude of its qubit.
-_PHASE = {"s": 1j, "sdg": -1j, "t": np.exp(1j * math.pi / 4), "tdg": np.exp(-1j * math.pi / 4)}
 
 
 @dataclass(eq=False)
@@ -74,62 +65,20 @@ class CountsTable:
             raise ValueError("counts must sum to shots")
 
 
-@lru_cache(maxsize=None)
-def _flip_perm(n: int, q: int) -> np.ndarray:
-    """Index permutation that flips qubit q's bit."""
-    return np.arange(1 << n) ^ (1 << (n - 1 - q))
-
-
-@lru_cache(maxsize=None)
-def _h_diag(n: int, q: int) -> np.ndarray:
-    """1/sqrt(2) where qubit q's bit is 0 and -1/sqrt(2) where it is 1: the
-    diagonal of H on qubit q, whose off-diagonal part is the flip times
-    1/sqrt(2). Stored complex: a real vector is cast in buffered chunks on
-    every product, which costs more than the product itself."""
-    bit = (np.arange(1 << n) >> (n - 1 - q)) & 1
-    return np.where(bit == 1, -_INV_SQRT2, _INV_SQRT2).astype(complex)
-
-
-@lru_cache(maxsize=None)
-def _cnot_indices(n: int, control: int, target: int):
-    pc = n - 1 - control
-    pt = n - 1 - target
-    idx = np.arange(1 << n)
-    sel = idx[((idx >> pc) & 1 == 1) & ((idx >> pt) & 1 == 0)]
-    return sel, sel | (1 << pt)
-
-
-def _apply_gate_inplace(amps: np.ndarray, kind: str, qubits: Sequence[int], n: int) -> None:
-    """Applies the gate of this kind (a circuits.GATE_KINDS key) on these
-    qubit indices to amps, a C-contiguous 1-D state of n qubits, in place.
-    The caller validates both: the indices need not be those of a circuit.
-
-    A phase gate scales the |1> half of its qubit, X permutes by the bit
-    flip, and H adds the flipped amplitudes times 1/sqrt(2) to the amplitudes
-    times its +-1/sqrt(2) diagonal; CNOT swaps the control-set pairs. The
-    numbers equal those of the 2x2 matrix-vector product on each pair of
-    amplitudes: H forms the same products and sums, and the terms the other
-    kinds leave out are products with 0 and 1.
-    """
-    if kind == "cnot":
-        sel, swapped = _cnot_indices(n, qubits[0], qubits[1])
-        tmp = amps[sel]
-        amps[sel] = amps[swapped]
-        amps[swapped] = tmp
-        return
-    q = qubits[0]
-    if kind == "h":
-        moved = amps[_flip_perm(n, q)]
-        moved *= _INV_SQRT2
-        amps *= _h_diag(n, q)
-        amps += moved
-    elif kind == "x":
-        amps[...] = amps[_flip_perm(n, q)]
-    else:
-        half = amps.reshape(1 << q, 2, -1)[:, 1]  # the amplitudes with qubit q at 1
-        # Phase first: numpy's complex product rounds differently with the
-        # operands swapped, and this order is the matrix product's.
-        np.multiply(_PHASE[kind], half, out=half)
+def walsh_hadamard(values) -> list:
+    """The unnormalised Walsh-Hadamard transform of values, whose length is
+    a power of two: W(b) = sum_m values[m] (-1)^|m & b|, as a new list. The
+    butterfly only adds and subtracts entries, so ints and Gaussian ints stay
+    exact, and floats round the same way on every platform."""
+    vec = list(values)
+    half = 1
+    while half < len(vec):
+        for start in range(0, len(vec), 2 * half):
+            for i in range(start, start + half):
+                a, b = vec[i], vec[i + half]
+                vec[i], vec[i + half] = a + b, a - b
+        half *= 2
+    return vec
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsTable:

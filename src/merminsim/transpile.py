@@ -14,16 +14,21 @@ same unitary, and placement rewrites only the qubit of a phase gate, so the
 state at every phase gate is the same in either order. Placing first spares
 the placement scan the four H gates of every reversed CNOT, and the scan
 also skips inverse pairs that are adjacent on their wires.
+
+The scan's in-place amplitude kernel, _apply_gate_inplace, is defined beside
+it, its only caller; index bit (n-1-q) belongs to qubit q, as in outcomes.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
 
 from .circuits import INVERSE, PHASE_KINDS, Circuit, Gate, cnot, gate, h, measured_in
-from .statevector import _apply_gate_inplace
 
 
 class StarTopologyError(ValueError):
@@ -138,6 +143,70 @@ def cancel_adjacent_pass(c: Circuit) -> Circuit:
             else:
                 i += 1
     return c.with_gates(gates)
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# The phase each phase kind puts on the |1> amplitude of its qubit.
+_PHASE = {"s": 1j, "sdg": -1j, "t": np.exp(1j * math.pi / 4), "tdg": np.exp(-1j * math.pi / 4)}
+
+
+@lru_cache(maxsize=None)
+def _flip_perm(n: int, q: int) -> np.ndarray:
+    """Index permutation that flips qubit q's bit."""
+    return np.arange(1 << n) ^ (1 << (n - 1 - q))
+
+
+@lru_cache(maxsize=None)
+def _h_diag(n: int, q: int) -> np.ndarray:
+    """1/sqrt(2) where qubit q's bit is 0 and -1/sqrt(2) where it is 1: the
+    diagonal of H on qubit q, whose off-diagonal part is the flip times
+    1/sqrt(2). Stored complex: a real vector is cast in buffered chunks on
+    every product, which costs more than the product itself."""
+    bit = (np.arange(1 << n) >> (n - 1 - q)) & 1
+    return np.where(bit == 1, -_INV_SQRT2, _INV_SQRT2).astype(complex)
+
+
+@lru_cache(maxsize=None)
+def _cnot_indices(n: int, control: int, target: int):
+    pc = n - 1 - control
+    pt = n - 1 - target
+    idx = np.arange(1 << n)
+    sel = idx[((idx >> pc) & 1 == 1) & ((idx >> pt) & 1 == 0)]
+    return sel, sel | (1 << pt)
+
+
+def _apply_gate_inplace(amps: np.ndarray, kind: str, qubits: Sequence[int], n: int) -> None:
+    """Applies the gate of this kind (a circuits.GATE_KINDS key) on these
+    qubit indices to amps, a C-contiguous 1-D state of n qubits, in place.
+    The caller validates both: the indices need not be those of a circuit.
+
+    A phase gate scales the |1> half of its qubit, X permutes by the bit
+    flip, and H adds the flipped amplitudes times 1/sqrt(2) to the amplitudes
+    times its +-1/sqrt(2) diagonal; CNOT swaps the control-set pairs. The
+    numbers equal those of the 2x2 matrix-vector product on each pair of
+    amplitudes: H forms the same products and sums, and the terms the other
+    kinds leave out are products with 0 and 1.
+    """
+    if kind == "cnot":
+        sel, swapped = _cnot_indices(n, qubits[0], qubits[1])
+        tmp = amps[sel]
+        amps[sel] = amps[swapped]
+        amps[swapped] = tmp
+        return
+    q = qubits[0]
+    if kind == "h":
+        moved = amps[_flip_perm(n, q)]
+        moved *= _INV_SQRT2
+        amps *= _h_diag(n, q)
+        amps += moved
+    elif kind == "x":
+        amps[...] = amps[_flip_perm(n, q)]
+    else:
+        half = amps.reshape(1 << q, 2, -1)[:, 1]  # the amplitudes with qubit q at 1
+        # Phase first: numpy's complex product rounds differently with the
+        # operands swapped, and this order is the matrix product's.
+        np.multiply(_PHASE[kind], half, out=half)
 
 
 def _movable_phase_positions(c: Circuit) -> list[int]:

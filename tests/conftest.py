@@ -5,10 +5,10 @@ Kronecker products, with no code shared with the package kernels, so
 agreement between the two is meaningful. Noise channels are given by Kraus
 operators and applied as sums of tensor contractions, the reference for the
 package's per-term Pauli-basis depolarizing. The gate kernel, two transpiler passes,
-the phase scan's per-wire cancellation rule, the circuit parser and the
-Mermin recursion are kept here in their first, plainer form as references
-for the package's faster ones, and the 3-, 4- and 5-party polynomials as a
-literal sign table.
+the phase scan's per-wire cancellation rule, the circuit parser, the numpy
+Walsh-Hadamard butterfly and the Mermin recursion are kept here in their
+first form as references for the package's current ones, and the 3-, 4- and
+5-party polynomials as a literal sign table.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from merminsim.circuits import (
     gate,
 )
 from merminsim.mermin import MerminPolynomial
-from merminsim.statevector import _apply_gate_inplace
-from merminsim.transpile import DeviceModel
+from merminsim.transpile import DeviceModel, _apply_gate_inplace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -248,6 +247,19 @@ def reference_apply_gate(amps: np.ndarray, gate, n: int) -> None:
     a0, a1 = amps[low], amps[high]
     amps[low] = mat[0, 0] * a0 + mat[0, 1] * a1
     amps[high] = mat[1, 0] * a0 + mat[1, 1] * a1
+
+
+def reference_walsh_hadamard(values) -> np.ndarray:
+    """The numpy butterfly noisy_distribution ran before it called
+    statevector.walsh_hadamard: level by level, each block of 2 * half
+    entries becomes (first + second, first - second) of its two halves."""
+    vec = np.array(values, dtype=float)
+    half = 1
+    while half < vec.size:
+        pairs = vec.reshape(-1, 2, half)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+        half *= 2
+    return vec
 
 
 def reference_movable_phase_positions(circuit) -> list[int]:

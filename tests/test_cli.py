@@ -293,6 +293,52 @@ def test_parse_bad_fixtures_exit_1(capsys, name, message):
     assert message in err
 
 
+# Text with a byte that is not UTF-8, and the line str.splitlines puts it on:
+# \v and \r\n break lines as well, and a bad byte after a break starts a line.
+_NOT_UTF8 = [
+    (b"qubits 3\nh 1\n\xff\n", 3),
+    (b"qubits 3\r\nh 1 \xe9\r\n", 2),
+    (b"qubits 3\vh 1\n\n# caf\xc3", 4),
+    (b"\xfe", 1),
+]
+
+
+@pytest.mark.parametrize("command", ["parse", "transpile"])
+@pytest.mark.parametrize("data,line", _NOT_UTF8)
+def test_circuit_not_utf8_exits_1_with_line(capsys, tmp_path, command, data, line):
+    src = tmp_path / "bad.qc"
+    src.write_bytes(data)
+    code, out, err = run_cli(capsys, command, str(src))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: not UTF-8 text, line {line}\n"
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"n = 3\nseed = 4 # \xff\n", 2),
+    (b"n = 3\r\n[noise]\r\n\x80", 3),
+])
+def test_run_config_not_utf8_exits_1_with_line(capsys, tmp_path, data, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(data)
+    code, out, err = run_cli(capsys, "run", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: not UTF-8 text, line {line}\n"
+
+
+def test_files_read_as_utf8_whatever_the_locale(tmp_path):
+    """A UTF-8 comment parses under the C locale, whose encoding is ASCII
+    once UTF-8 mode and locale coercion are off."""
+    src = tmp_path / "accent.qc"
+    src.write_bytes("qubits 2 # café\nh 0\n".encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent), LC_ALL="C",
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run([sys.executable, "-m", "merminsim", "parse", str(src)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "qubits 2\nh 0\nmeasure z z\n", "")
+
+
 def test_unknown_subcommand_exits_1(capsys):
     code, out, err = run_cli(capsys, "frobnicate")
     assert code == 1

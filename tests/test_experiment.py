@@ -64,6 +64,13 @@ def test_parity_expectation_counts():
     assert parity_expectation(certain) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("table", [[], [1, 0, 0], [[0.5, 0.0], [0.0, 0.5]]],
+                         ids=["empty", "length-3", "2x2"])
+def test_parity_expectation_probs_rejects_bad_shape(table):
+    with pytest.raises(ValueError, match="1-D with a power-of-two length"):
+        parity_expectation_probs(table)
+
+
 def test_parity_expectation_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         parity_expectation(CountsTable(1, np.array([0, 0]), shots=0, seed=0))

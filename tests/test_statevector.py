@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import linalg, stats
 
 from merminsim.circuits import (
     GATE_KINDS,
@@ -21,9 +21,10 @@ from merminsim.statevector import (
     RNG_ID,
     CountsTable,
     OutcomeDistribution,
-    _apply_gate_inplace,
     sample_counts,
+    walsh_hadamard,
 )
+from merminsim.transpile import _apply_gate_inplace
 
 from conftest import (
     FIXTURES,
@@ -38,6 +39,7 @@ from conftest import (
     oracle_state,
     oracle_unitary,
     reference_apply_gate,
+    reference_walsh_hadamard,
 )
 from test_circuits import circuits
 
@@ -185,6 +187,40 @@ def test_outcome_distribution_rejects_nan(probs):
 def test_outcome_distribution_rejects_inf(probs):
     with pytest.raises(ValueError):
         OutcomeDistribution(1, np.array(probs))
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_walsh_hadamard_matches_hadamard_matrix(k):
+    """Against scipy's Sylvester matrix, H[b, m] = (-1)^|m & b|: exactly on
+    ints and Gaussian ints, to rounding on floats."""
+    rng = np.random.default_rng(k)
+    h = linalg.hadamard(1 << k)
+    ints = rng.integers(-1000, 1000, size=1 << k)
+    got = walsh_hadamard(ints.tolist())
+    assert all(type(v) is int for v in got)
+    assert got == (h @ ints).tolist()
+    gauss = ints + 1j * rng.integers(-1000, 1000, size=1 << k)
+    assert walsh_hadamard(gauss.tolist()) == (h @ gauss).tolist()
+    floats = rng.normal(size=1 << k)
+    assert np.allclose(walsh_hadamard(floats.tolist()), h @ floats, rtol=0, atol=1e-11)
+
+
+def test_walsh_hadamard_exact_above_2_to_53():
+    big = [2**60 + 1, -(2**61) + 3, 2**55 - 7, 5]
+    want = [sum(v * (-1) ** (m & b).bit_count() for m, v in enumerate(big)) for b in range(4)]
+    assert walsh_hadamard(big) == want
+    # A float butterfly would lose the low bits of these sums.
+    assert walsh_hadamard([2**53, 1]) == [2**53 + 1, 2**53 - 1]
+
+
+@given(st.integers(0, 8).flatmap(lambda k: st.lists(
+    st.floats(-1e300, 1e300), min_size=1 << k, max_size=1 << k)))
+@settings(max_examples=200, deadline=None)
+def test_walsh_hadamard_bit_identical_to_numpy_butterfly(values):
+    """The same sums in the same order as the numpy butterfly it replaced,
+    signed zeros included."""
+    got = np.array(walsh_hadamard(values), dtype=float)
+    assert got.tobytes() == reference_walsh_hadamard(values).tobytes()
 
 
 def test_sample_counts_degenerate():
