@@ -22,7 +22,10 @@ def main() -> None:
     ap.add_argument("--target", type=float, default=2.85, help="3-qubit value to fit")
     args = ap.parse_args()
 
-    p2 = calibrate_depol_2q(target=args.target)
+    try:
+        p2 = calibrate_depol_2q(target=args.target)
+    except ValueError as exc:
+        ap.error(f"--target {args.target:g}: {exc}")
     print(f"fitted depol_2q = {p2:.10f}")
     model = NoiseModel(depol_2q=p2)
     for n in SIZES:

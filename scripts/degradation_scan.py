@@ -27,6 +27,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.points < 2:
         ap.error("--points must be at least 2")
+    if not 0.0 <= args.top <= 1.0:
+        ap.error("--max must be a probability in [0, 1]")
 
     params = PARAMS if args.param == "all" else (args.param,)
     grid = [args.top * i / (args.points - 1) for i in range(args.points)]

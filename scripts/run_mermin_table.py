@@ -23,8 +23,14 @@ def main() -> None:
     ap.add_argument("--shots", type=int, default=None,
                     help="shots per class (default: per-size defaults)")
     args = ap.parse_args()
-
-    noise = NoiseModel(depol_2q=args.depol_2q, readout_flip=args.readout_flip)
+    if args.shots is not None and args.shots < 1:
+        ap.error("--shots must be at least 1")
+    if args.seed < 0:
+        ap.error("--seed must be at least 0")
+    try:
+        noise = NoiseModel(depol_2q=args.depol_2q, readout_flip=args.readout_flip)
+    except ValueError as exc:
+        ap.error(str(exc))
     print(f"{'n':>2} {'LR':>4} {'QM':>9} {'exact':>9} {'sampled':>9} {'stderr':>8}")
     for n in SIZES:
         plan = build_plan(n, shots=args.shots, seed=args.seed, noise=noise)

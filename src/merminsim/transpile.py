@@ -17,11 +17,12 @@ also skips inverse pairs that are adjacent on their wires.
 
 The scan's in-place amplitude kernel, _apply_gate_inplace, is defined beside
 it, its only caller; index bit (n-1-q) belongs to qubit q, as in outcomes.
+Every gate kind is a cached index permutation (X, CNOT), a cached diagonal
+(S, S-dagger, T, T-dagger), or both (H).
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
@@ -147,66 +148,53 @@ def cancel_adjacent_pass(c: Circuit) -> Circuit:
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# The phase each phase kind puts on the |1> amplitude of its qubit.
-_PHASE = {"s": 1j, "sdg": -1j, "t": np.exp(1j * math.pi / 4), "tdg": np.exp(-1j * math.pi / 4)}
+# The diagonal of each non-permutation kind: its entries where the qubit's
+# bit is 0 and where it is 1. H's off-diagonal part is the flip times 1/sqrt(2).
+_DIAG = {"h": (_INV_SQRT2, -_INV_SQRT2), "s": (1, 1j), "sdg": (1, -1j),
+         "t": (1, np.exp(1j * math.pi / 4)), "tdg": (1, np.exp(-1j * math.pi / 4))}
 
 
 @lru_cache(maxsize=None)
-def _flip_perm(n: int, q: int) -> np.ndarray:
-    """Index permutation that flips qubit q's bit."""
-    return np.arange(1 << n) ^ (1 << (n - 1 - q))
-
-
-@lru_cache(maxsize=None)
-def _h_diag(n: int, q: int) -> np.ndarray:
-    """1/sqrt(2) where qubit q's bit is 0 and -1/sqrt(2) where it is 1: the
-    diagonal of H on qubit q, whose off-diagonal part is the flip times
-    1/sqrt(2). Stored complex: a real vector is cast in buffered chunks on
-    every product, which costs more than the product itself."""
-    bit = (np.arange(1 << n) >> (n - 1 - q)) & 1
-    return np.where(bit == 1, -_INV_SQRT2, _INV_SQRT2).astype(complex)
-
-
-@lru_cache(maxsize=None)
-def _cnot_indices(n: int, control: int, target: int):
-    pc = n - 1 - control
-    pt = n - 1 - target
+def _perm(n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Index permutation that flips the bit of qubits[-1], and for two qubits
+    (a CNOT) only where the bit of qubits[0] is 1."""
     idx = np.arange(1 << n)
-    sel = idx[((idx >> pc) & 1 == 1) & ((idx >> pt) & 1 == 0)]
-    return sel, sel | (1 << pt)
+    flip = 1 if len(qubits) == 1 else (idx >> (n - 1 - qubits[0])) & 1
+    return idx ^ (flip << (n - 1 - qubits[-1]))
 
 
-def _apply_gate_inplace(amps: np.ndarray, kind: str, qubits: Sequence[int], n: int) -> None:
+@lru_cache(maxsize=None)
+def _diag(n: int, kind: str, q: int) -> np.ndarray:
+    """The diagonal of kind on qubit q as a full-length vector. Stored complex:
+    a real vector is cast in buffered chunks on every product, which costs
+    more than the product itself."""
+    bit = (np.arange(1 << n) >> (n - 1 - q)) & 1
+    return np.array(_DIAG[kind], dtype=complex)[bit]
+
+
+def _apply_gate_inplace(amps: np.ndarray, kind: str, qubits: tuple[int, ...], n: int) -> None:
     """Applies the gate of this kind (a circuits.GATE_KINDS key) on these
     qubit indices to amps, a C-contiguous 1-D state of n qubits, in place.
     The caller validates both: the indices need not be those of a circuit.
 
-    A phase gate scales the |1> half of its qubit, X permutes by the bit
-    flip, and H adds the flipped amplitudes times 1/sqrt(2) to the amplitudes
-    times its +-1/sqrt(2) diagonal; CNOT swaps the control-set pairs. The
-    numbers equal those of the 2x2 matrix-vector product on each pair of
-    amplitudes: H forms the same products and sums, and the terms the other
-    kinds leave out are products with 0 and 1.
+    X and CNOT permute the amplitudes; every other kind multiplies them by
+    its diagonal, and H then adds the flipped amplitudes times 1/sqrt(2).
+    The numbers equal those of the 2x2 matrix-vector product on each pair
+    of amplitudes, bit for bit and on one qubit too: H forms the same
+    products and sums, and the terms the other kinds leave out are products
+    with 0 and 1.
     """
-    if kind == "cnot":
-        sel, swapped = _cnot_indices(n, qubits[0], qubits[1])
-        tmp = amps[sel]
-        amps[sel] = amps[swapped]
-        amps[swapped] = tmp
+    if kind in ("x", "cnot"):
+        amps[...] = amps[_perm(n, qubits)]
         return
-    q = qubits[0]
     if kind == "h":
-        moved = amps[_flip_perm(n, q)]
+        moved = amps[_perm(n, qubits)]
         moved *= _INV_SQRT2
-        amps *= _h_diag(n, q)
+    # Diagonal first: numpy's complex product rounds differently with the
+    # operands swapped, and this order is the matrix product's.
+    np.multiply(_diag(n, kind, qubits[0]), amps, out=amps)
+    if kind == "h":
         amps += moved
-    elif kind == "x":
-        amps[...] = amps[_flip_perm(n, q)]
-    else:
-        half = amps.reshape(1 << q, 2, -1)[:, 1]  # the amplitudes with qubit q at 1
-        # Phase first: numpy's complex product rounds differently with the
-        # operands swapped, and this order is the matrix product's.
-        np.multiply(_PHASE[kind], half, out=half)
 
 
 def _movable_phase_positions(c: Circuit) -> list[int]:

@@ -49,34 +49,45 @@ def test_calibrate_consistency(capsys, monkeypatch):
     assert [line.split(":")[0] for line in lines[1:]] == ["n=3", "n=4", "n=5"]
 
 
-# Arguments that give each script work to do after its first line.
-CLOSED_PIPE_RUNS = {
-    "run_mermin_table.py": (["--shots", "1048576"], " n   LR"),
-    "degradation_scan.py": ([], "n,param,rate,mermin_value"),
-    "calibrate_consistency.py": ([], "fitted depol_2q = "),
-}
+@pytest.mark.parametrize("name,args,message", [
+    ("run_mermin_table.py", ["--shots", "0"], "--shots must be at least 1"),
+    ("run_mermin_table.py", ["--depol-2q", "1.5"], "depol_2q must be a probability in [0, 1]"),
+    ("run_mermin_table.py", ["--seed", "-1"], "--seed must be at least 0"),
+    ("degradation_scan.py", ["--max", "2"], "--max must be a probability in [0, 1]"),
+    ("calibrate_consistency.py", ["--target", "5"],
+     "--target 5: target outside the reachable range"),
+])
+def test_script_rejects_bad_argument(name, args, message, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_script(name, *args, monkeypatch=monkeypatch)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
-@pytest.mark.parametrize("name", sorted(CLOSED_PIPE_RUNS))
+@pytest.mark.parametrize("name", ["calibrate_consistency.py", "degradation_scan.py",
+                                  "run_mermin_table.py"])
 def test_script_exits_quietly_when_reader_closes(name):
-    args, header = CLOSED_PIPE_RUNS[name]
-    # Unbuffered, so each line is written as it is printed and the next
-    # print after the reader has gone meets the closed pipe.
+    # The read end is closed before the script starts, so its first write
+    # meets the closed pipe whatever the timing. Unbuffered, so that write
+    # happens at the first print and not in the flush at exit.
     env = dict(os.environ, PYTHONUNBUFFERED="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, str(SCRIPTS / name), *args], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=120)
+        proc = subprocess.Popen([sys.executable, str(SCRIPTS / name)], env=env,
+                                stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    try:
+        err = proc.communicate(timeout=120)[1]
     finally:
         proc.kill()
         proc.wait()
-    assert first.startswith(header)
     assert "Traceback" not in err
-    assert code == 1
+    assert proc.returncode == 1
 
 
 def golden_case(value: float, label: str = "ok") -> dict:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import linalg, stats
 from merminsim.circuits import (
     GATE_KINDS,
     INVERSE,
+    PHASE_KINDS,
     Circuit,
     Gate,
     cnot,
@@ -101,13 +103,30 @@ def test_gate_kernel_matches_dense_oracle(kind, data):
         first_form = state.copy()
         reference_apply_gate(first_form, Gate(kind, qubits), n)
         _apply_gate_inplace(state, kind, qubits, n)
-        # numpy rounds a complex product of one-element arrays by another
-        # loop, so on a one-qubit state T and Tdg can differ from the first
-        # form in the last bit.
-        if state.size > 2:
-            assert np.array_equal(state, first_form)
+        assert np.array_equal(state, first_form)
     got = amps if columns is None else np.stack(states, axis=1)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(PHASE_KINDS))
+def test_phase_gate_allocates_no_temporary(kind):
+    """Once its diagonal is cached, a phase gate on a 10-qubit state works in
+    place: it allocates no scratch copy of the state, on any qubit."""
+    n = 10
+    amps = np.ones(1 << n, dtype=complex)
+    for q in (0, 5, 9):
+        _apply_gate_inplace(amps, kind, (q,), n)
+        peaks = []
+        # The least of a few calls: the interpreter may allocate a few bytes
+        # of its own on a first call.
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                _apply_gate_inplace(amps, kind, (q,), n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert min(peaks) == 0, (q, peaks)
 
 
 @given(circuits())
