@@ -1,5 +1,7 @@
 """Tests of `sample_counts`: pinned counts, a differential test against a
-one-shot reference sampler, and bounded sampling memory.
+one-shot reference sampler, counts that do not depend on how many spans the
+shots are split into, sampling in a forked child, and bounded sampling
+memory.
 
 The golden file stores, for each case, the outcome probabilities, the shot
 count, the seed and the exact counts the sampler returned when the file was
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import json
+import multiprocessing
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +29,8 @@ from hypothesis import given, settings, strategies as st
 
 from merminsim.experiment import build_plan, class_distributions
 from merminsim.noise import NoiseModel
-from merminsim.statevector import _CHUNK, OutcomeDistribution, sample_counts
+from merminsim import statevector
+from merminsim.statevector import _CHUNK, _MAX_SPANS, OutcomeDistribution, sample_counts
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sample_counts.json"
 
@@ -137,15 +142,93 @@ def test_sample_counts_match_reference(dist, shots, seed):
     assert np.array_equal(table.counts, reference_counts(dist, shots, seed))
 
 
-def test_sampling_memory_does_not_grow_with_shots():
+SPLIT_SHOTS = (1, _CHUNK - 1, _CHUNK + 1, 5 * _CHUNK // 2, 3 * _CHUNK + 7)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_counts_do_not_depend_on_the_span_split(monkeypatch, workers):
+    """However many CPUs the process has, the spans tile the shots in whole
+    chunks, one per CPU while there are chunks for them and at most
+    _MAX_SPANS, and the counts are those of the single stream. Runs of at
+    most _CHUNK shots stay in the calling thread."""
+    monkeypatch.setattr(statevector, "_WORKERS", workers)
+    spans = []
+    count_span = statevector._count_span
+
+    def recording_count_span(cdf, table, seed, start, stop):
+        spans.append((start, stop, threading.current_thread() is threading.main_thread()))
+        return count_span(cdf, table, seed, start, stop)
+
+    monkeypatch.setattr(statevector, "_count_span", recording_count_span)
+    plan = build_plan(5, noise=NOISES["light"])
+    dists = [dist for _, dist in class_distributions(plan)[:2]]
+    dists.append(OutcomeDistribution(5, np.full(32, 1 / 32)))
+    for d, dist in enumerate(dists):
+        for shots in SPLIT_SHOTS:
+            spans.clear()
+            table = sample_counts(dist, shots, seed=77 + d)
+            assert np.array_equal(table.counts, reference_counts(dist, shots, 77 + d))
+            n_chunks = -(-shots // _CHUNK)
+            assert len(spans) == min(workers, _MAX_SPANS, n_chunks)
+            starts, stops, in_main = zip(*sorted(spans))
+            assert starts[0] == 0 and stops[-1] == shots
+            assert starts[1:] == stops[:-1]
+            assert all(start % _CHUNK == 0 for start in starts)
+            assert all(in_main) == (len(spans) == 1)
+
+
+def _sample_in_child(conn, dist, shots, seed):
+    conn.send(sample_counts(dist, shots, seed).counts.tolist())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+def test_sampling_in_a_forked_child_after_the_pool_ran(monkeypatch):
+    """A forked child inherits the parent's pool without its threads; its
+    own sample_counts must not wait on them."""
+    monkeypatch.setattr(statevector, "_WORKERS", 2)
+    dist = OutcomeDistribution(5, np.full(32, 1 / 32))
+    shots = 3 * _CHUNK + 7
+    expected = sample_counts(dist, shots, seed=9).counts.tolist()
+    assert statevector._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_sample_in_child, args=(send, dist, shots, 9))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "sample_counts in the forked child did not return"
+        assert recv.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def _sampling_peak_bytes(shots: int) -> int:
     dist = OutcomeDistribution(5, np.full(32, 1 / 32))
     tracemalloc.start()
     try:
-        sample_counts(dist, 1 << 22, seed=3)
+        sample_counts(dist, shots, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    return peak
+
+
+def test_sampling_memory_does_not_grow_with_shots():
+    assert _sampling_peak_bytes(1 << 22) < 8 * 2**20
+
+
+def test_sampling_memory_does_not_grow_with_cpus(monkeypatch):
+    """At most _MAX_SPANS spans hold buffers at once, on any host. At 2^24
+    shots the spans are long enough that, without the cap, all 16 would
+    hold their buffers at once (about 12.8 MiB)."""
+    monkeypatch.setattr(statevector, "_WORKERS", 16)
+    assert _sampling_peak_bytes(1 << 24) < 8 * 2**20
 
 
 if __name__ == "__main__":
