@@ -79,16 +79,7 @@ def _conjugate(terms: dict, kind: str, qubits: tuple[int, ...], n: int) -> dict:
     rest = ~(1 << s)
     images = CONJUGATION[kind]
     for (x, z), v in terms.items():
-        image = images[x >> s & 1, z >> s & 1]
-        if len(image) == 1:
-            # One image, as for every term under a Clifford gate and the
-            # identity on the gate's qubit under any gate: conjugation is
-            # orthogonal on Paulis, so no other term reaches this key. The
-            # + 0.0 keeps the sign of zero that accumulating from 0.0 gave.
-            (px, pz), w = image[0]
-            out[x & rest | px << s, z & rest | pz << s] = w * v + 0.0
-            continue
-        for (px, pz), w in image:
+        for (px, pz), w in images[x >> s & 1, z >> s & 1]:
             key = (x & rest | px << s, z & rest | pz << s)
             out[key] = out.get(key, 0.0) + w * v
     return out

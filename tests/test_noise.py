@@ -255,39 +255,6 @@ def test_cnot_sign_rule_matches_oracle(control, target):
             assert np.array_equal(w * pauli_matrix(px, pz, 2), want), (x, z)
 
 
-def accumulating_conjugate(terms: dict, kind: str, qubit: int, n: int) -> dict:
-    """The one-qubit rule of _conjugate with every image, single or not,
-    accumulated from 0.0 through dict.get, term by term."""
-    s = n - 1 - qubit
-    rest = ~(1 << s)
-    out: dict = {}
-    for (x, z), v in terms.items():
-        for (px, pz), w in CONJUGATION[kind][x >> s & 1, z >> s & 1]:
-            key = (x & rest | px << s, z & rest | pz << s)
-            out[key] = out.get(key, 0.0) + w * v
-    return out
-
-
-@st.composite
-def pauli_terms(draw):
-    n = draw(st.integers(1, 4))
-    mask = st.integers(0, (1 << n) - 1)
-    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
-    terms = draw(st.dictionaries(st.tuples(mask, mask), value, max_size=40))
-    return terms, draw(st.sampled_from(sorted(CONJUGATION))), draw(st.integers(0, n - 1)), n
-
-
-@settings(max_examples=300, deadline=None)
-@given(pauli_terms())
-def test_one_qubit_conjugate_matches_accumulating_rule(case):
-    """Assigning single images directly gives the same terms, in the same
-    order and with the same sign of zero, as accumulating every image."""
-    terms, kind, qubit, n = case
-    got = _conjugate(terms, kind, (qubit,), n)
-    want = accumulating_conjugate(terms, kind, qubit, n)
-    assert [(k, v.hex()) for k, v in got.items()] == [(k, v.hex()) for k, v in want.items()]
-
-
 def test_degradation_curve_zero_point():
     curve = degradation_curve(3, [ZERO_NOISE])
     assert curve[0][1] == pytest.approx(4.0, abs=1e-8)
