@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -98,6 +100,29 @@ def _read_text(path: str, error: type[ValueError]) -> str:
         raise error("not UTF-8 text", len((before + "x").splitlines())) from None
 
 
+def _write_text(path, text: str) -> None:
+    """Writes text to path as UTF-8, in place: the file is opened without
+    truncation, overwritten from its start, and cut to the written length
+    only if it is a regular file that was longer. Rewriting a file of the same
+    length then only dirties its cached pages, where truncating to zero first
+    makes the filesystem free the blocks and wait for their write-back. As
+    with Path.write_text, a symlink is followed, a hard link, the owner and
+    the mode are kept, a new file gets 0o666 less the umask, and nothing is
+    synced."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        info = os.fstat(fd)
+        # ftruncate fails with EINVAL on a device such as os.devnull.
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _cmd_bounds(args) -> int:
     rec = bounds_for(args.n)
     if args.json:
@@ -125,11 +150,9 @@ def _cmd_transpile(args) -> int:
     if args.out is None:
         sys.stdout.write(rendered)
     else:
-        Path(args.out).write_text(rendered)
+        _write_text(args.out, rendered)
     if args.report is not None:
-        Path(args.report).write_text(
-            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-        )
+        _write_text(args.report, json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -150,8 +173,7 @@ def _cmd_run(args) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for cls, counts in sampled_class_counts(plan):
-            path = out_dir / f"counts_class{cls.prime_count}.csv"
-            path.write_text(counts_to_csv(counts))
+            _write_text(out_dir / f"counts_class{cls.prime_count}.csv", counts_to_csv(counts))
         return 0
     est = run_plan(plan, mode=cfg.mode)
     if cfg.output == "json":

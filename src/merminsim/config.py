@@ -10,8 +10,10 @@ from .noise import NOISE_PARAMS, NoiseModel
 from .transpile import DeviceModel
 
 
-# Sampling costs about 12 ns per shot, so this cap turns a mistyped count
-# (one with a few digits too many) into an error instead of hours of work.
+# Sampling costs about 7.5 ns per shot on one CPU (best of 7 sample_counts
+# calls of 2**22 shots, one span under taskset -c 0, 2.1 GHz Xeon), so 2**30
+# shots take about 8 s per class; the cap turns a mistyped count (one with a
+# few digits too many) into an error instead of hours of work.
 MAX_SHOTS = 2**30
 
 

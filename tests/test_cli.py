@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -415,6 +416,171 @@ def test_back_to_back_calls_leak_no_state(capsys, tmp_path):
     assert run_cli(capsys, "bounds", "7")[0] == 1
     code, out, _ = run_cli(capsys, "degrade", "3", "--values", "0")
     assert code == 0 and out.startswith("depol_2q,")
+
+
+# Output files are rewritten in place: opened without truncation, overwritten
+# and cut to length, so what the user's path names stays the same file.
+
+_LOWERABLE = FIXTURES / "valid" / "fig1_xxy.qc"
+
+
+def _transpile_report(capsys, report):
+    """Runs transpile with --report at report; returns (code, err)."""
+    code, _, err = run_cli(capsys, "transpile", str(_LOWERABLE), "--cnot-target", "1",
+                           "--report", str(report))
+    return code, err
+
+
+@pytest.fixture
+def report_text(capsys, tmp_path):
+    fresh = tmp_path / "fresh.json"
+    assert _transpile_report(capsys, fresh) == (0, "")
+    return fresh.read_text()
+
+
+def test_transpile_out_over_its_longer_input_leaves_no_tail(capsys, tmp_path):
+    circuit = tmp_path / "c.qc"
+    circuit.write_text("# " + "padding " * 200 + "\n" + _LOWERABLE.read_text())
+    code, expected, _ = run_cli(capsys, "transpile", str(circuit), "--cnot-target", "1")
+    assert code == 0 and len(expected) < circuit.stat().st_size
+    code, out, err = run_cli(capsys, "transpile", str(circuit), "--cnot-target", "1",
+                             "--out", str(circuit))
+    assert (code, out, err) == (0, "", "")
+    assert circuit.read_text() == expected
+
+
+def test_report_over_a_longer_file_leaves_no_tail(capsys, tmp_path, report_text):
+    report = tmp_path / "report.json"
+    report.write_text("x" * 10_000)
+    assert _transpile_report(capsys, report) == (0, "")
+    assert report.read_text() == report_text
+
+
+def test_csv_over_longer_files_leaves_no_tail(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nmode = sampled\noutput = csv\nshots = 128\n")
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    for name in ("counts_class1.csv", "counts_class3.csv"):
+        (reused / name).write_text("9" * 10_000)
+    for out_dir in (fresh, reused):
+        assert run_cli(capsys, "run", str(cfg), "--out-dir", str(out_dir)) == (0, "", "")
+    for name in ("counts_class1.csv", "counts_class3.csv"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_report_through_a_symlink_rewrites_the_target(capsys, tmp_path, report_text):
+    target = tmp_path / "target.json"
+    target.write_text("old " * 1000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert _transpile_report(capsys, link) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == report_text
+
+
+def test_report_keeps_hard_links(capsys, tmp_path, report_text):
+    first = tmp_path / "first.json"
+    first.write_text("old " * 1000)
+    second = tmp_path / "second.json"
+    os.link(first, second)
+    inode = first.stat().st_ino
+    assert _transpile_report(capsys, first) == (0, "")
+    assert first.stat().st_ino == second.stat().st_ino == inode
+    assert first.stat().st_nlink == 2
+    assert second.read_text() == report_text
+
+
+def test_report_keeps_the_file_mode(capsys, tmp_path, report_text):
+    report = tmp_path / "report.json"
+    report.write_text("old\n")
+    report.chmod(0o640)
+    assert _transpile_report(capsys, report) == (0, "")
+    assert report.stat().st_mode & 0o7777 == 0o640
+    assert report.read_text() == report_text
+
+
+@pytest.mark.parametrize("umask", [0o002, 0o077])
+def test_new_report_gets_0o666_less_the_umask(capsys, tmp_path, umask):
+    report = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        code, err = _transpile_report(capsys, report)
+    finally:
+        os.umask(old)
+    assert (code, err) == (0, "")
+    assert report.stat().st_mode & 0o7777 == 0o666 & ~umask
+
+
+def test_report_to_devnull_exits_0(capsys):
+    # ftruncate on a character device fails with EINVAL.
+    assert _transpile_report(capsys, os.devnull) == (0, "")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_report_exits_1_with_the_os_message(capsys, tmp_path, where):
+    report = tmp_path if where == "directory" else tmp_path / "absent" / "report.json"
+    with pytest.raises(OSError) as exc:
+        Path(report).write_text("")
+    code, err = _transpile_report(capsys, report)
+    assert code == 1
+    assert err == f"error: {exc.value}\n"
+    assert str(report) in err
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", "") == "os":
+        return True
+    # The mode is open's second argument and Path.open's first.
+    modes = call.args[isinstance(func, ast.Name):][:1]
+    modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return not all(isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                   and set(mode.value) <= set("rbt") for mode in modes)
+
+
+def test_no_output_file_is_written_outside_the_in_place_writer():
+    """Every file the package writes goes through cli._write_text: no
+    write_text, write_bytes, os.open or open(...) in a write mode anywhere
+    else in src/merminsim."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_write_text"
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in helper
+                  and _writes_a_file(node)]
+    assert found == []
+
+
+def test_outputs_are_never_opened_with_o_trunc(capsys, monkeypatch, tmp_path):
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", spy)
+    out, report = tmp_path / "out.qc", tmp_path / "report.json"
+    argv = ["transpile", str(_LOWERABLE), "--cnot-target", "1",
+            "--out", str(out), "--report", str(report)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nmode = sampled\noutput = csv\nshots = 128\n")
+    for _ in range(2):  # the second time over the files of the first
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path)) == (0, "", "")
+    wanted = [str(out), str(report), str(tmp_path / "counts_class1.csv"),
+              str(tmp_path / "counts_class3.csv")]
+    assert sorted(path for path, _ in opened) == sorted(wanted * 2)
+    assert all(not flags & os.O_TRUNC for _, flags in opened)
 
 
 @pytest.fixture(scope="module")
