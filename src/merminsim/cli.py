@@ -88,15 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str, error: type[ValueError]) -> str:
-    """The file's text, decoded as UTF-8 whatever the locale. A file that is
-    not UTF-8 raises error (CircuitFormatError or ConfigError) on the line of
-    its first bad byte, counted the way str.splitlines counts lines, as both
-    parsers do."""
+    """The file's text, decoded as UTF-8 whatever the locale, less one leading
+    byte-order mark. A file that is not UTF-8 raises error (CircuitFormatError
+    or ConfigError) on the line of its first bad byte, counted the way
+    str.splitlines counts lines, as both parsers do."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        before = data[: exc.start].decode("utf-8")
+        # exc.start counts from after the mark, in exc.object.
+        before = exc.object[: exc.start].decode("utf-8")
         raise error("not UTF-8 text", len((before + "x").splitlines())) from None
 
 
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     except StarTopologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CircuitFormatError, ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

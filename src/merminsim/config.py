@@ -37,126 +37,91 @@ class RunConfig:
     device: DeviceModel
 
 
-_TOP_KEYS = {"n", "shots", "seed", "mode", "reduction", "output", "prep_phase"}
-_DEVICE_KEYS = {"cnot_target", "robustness_rank"}
+# Each choice key's default and allowed values, in check order.
+_CHOICES = {"mode": ("exact", ("exact", "sampled")),
+            "reduction": ("classes", ("classes", "full-terms")),
+            "output": ("table", ("json", "table", "csv"))}
+# The keys each section accepts; "" is the part before any section header.
+_KEYS = {"": {"n", "shots", "seed", *_CHOICES, "prep_phase"}, "noise": set(NOISE_PARAMS),
+         "device": {"cnot_target", "robustness_rank"}}
 
 
-def _parse_int(value: str, key: str, line: int) -> int:
+def _one_of(options) -> str:
+    *rest, last = map(str, options)
+    return f"{', '.join(rest)} or {last}"
+
+
+def _read(entries, section: str, key: str, default, convert):
+    """(convert(value), line) of a key given, or (default, None) of one left out."""
+    value, line = entries.get((section, key), (None, None))
     try:
-        return int(value)
+        return (default, None) if line is None else (convert(value), line)
     except ValueError:
         raise ConfigError(f"bad value for {key}", line) from None
 
 
-def _parse_float(value: str, key: str, line: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"bad value for {key}", line) from None
+def _rank(value: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in value.split())
 
 
 def parse_config(text: str) -> RunConfig:
     section = ""
     # (section, key) -> (value, line) of each key given.
     entries: dict[tuple[str, str], tuple[str, int]] = {}
-    last_line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in ("noise", "device"):
-                raise ConfigError(f"unknown section [{name}]", lineno)
-            section = name
+            section = line[1:-1].strip()
+            if not section or section not in _KEYS:
+                raise ConfigError(f"unknown section [{section}]", lineno)
             continue
-        if "=" not in line:
-            raise ConfigError("expected key = value", lineno)
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        allowed = {"": _TOP_KEYS, "noise": NOISE_PARAMS, "device": _DEVICE_KEYS}[section]
-        if key not in allowed:
+        if not eq or not key:
+            raise ConfigError("expected key = value", lineno)
+        if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key}", lineno)
         if (section, key) in entries:
             raise ConfigError(f"duplicate key {key}", lineno)
-        entries[(section, key)] = value, lineno
+        entries[section, key] = value.strip(), lineno
 
-    got = entries.get(("", "n"))
-    if got is None:
-        raise ConfigError("missing required key n", last_line)
-    n = _parse_int(got[0], "n", got[1])
+    # n first: the default shots and the cnot_target range depend on it.
+    n, line = _read(entries, "", "n", None, int)
+    if line is None:
+        raise ConfigError("missing required key n", max(1, len(lines)))
     if n not in SIZES:
-        *rest, last = SIZES
-        raise ConfigError(f"n must be {', '.join(map(str, rest))} or {last}", got[1])
-
-    got = entries.get(("", "shots"))
-    shots = SIZES[n].shots if got is None else _parse_int(got[0], "shots", got[1])
-    if shots < 1:
-        raise ConfigError("shots must be >= 1", got[1])
-    if shots > MAX_SHOTS:
-        raise ConfigError(f"shots must be <= {MAX_SHOTS}", got[1])
-
-    got = entries.get(("", "seed"))
-    seed = 0 if got is None else _parse_int(got[0], "seed", got[1])
+        raise ConfigError(f"n must be {_one_of(SIZES)}", line)
+    shots, line = _read(entries, "", "shots", SIZES[n].shots, int)
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ConfigError(f"shots must be {'>= 1' if shots < 1 else f'<= {MAX_SHOTS}'}", line)
+    seed, line = _read(entries, "", "seed", 0, int)
     if seed < 0:
-        raise ConfigError("seed must be >= 0", got[1])
-
-    got = entries.get(("", "mode"))
-    mode = "exact" if got is None else got[0]
-    if mode not in ("exact", "sampled"):
-        raise ConfigError("mode must be exact or sampled", got[1])
-
-    got = entries.get(("", "reduction"))
-    reduction = "classes" if got is None else got[0]
-    if reduction not in ("classes", "full-terms"):
-        raise ConfigError("reduction must be classes or full-terms", got[1])
-
-    got = entries.get(("", "output"))
-    output = "table" if got is None else got[0]
-    if output not in ("json", "table", "csv"):
-        raise ConfigError("output must be json, table or csv", got[1])
-    if output == "csv" and mode != "sampled":
-        raise ConfigError("output csv requires mode sampled", got[1])
-
-    got = entries.get(("", "prep_phase"))
-    prep_phase: object = "max"
-    if got is not None:
-        token = got[0]
-        if token in ("max", "alt"):
-            prep_phase = token
-        else:
-            steps = _parse_int(token, "prep_phase", got[1])
-            if not 0 <= steps <= 7:
-                raise ConfigError("prep_phase steps must be in 0..7", got[1])
-            prep_phase = steps
-
-    kwargs = {}
+        raise ConfigError("seed must be >= 0", line)
+    choice = {}
+    for key, (default, options) in _CHOICES.items():
+        choice[key], line = _read(entries, "", key, default, str)
+        if choice[key] not in options:
+            raise ConfigError(f"{key} must be {_one_of(options)}", line)
+    if choice["output"] == "csv" and choice["mode"] != "sampled":
+        raise ConfigError("output csv requires mode sampled", entries["", "output"][1])
+    prep_phase, line = _read(entries, "", "prep_phase", "max", str)
+    if prep_phase not in ("max", "alt"):
+        prep_phase, line = _read(entries, "", "prep_phase", None, int)
+        if not 0 <= prep_phase <= 7:
+            raise ConfigError("prep_phase steps must be in 0..7", line)
+    rates = {}
     for key in NOISE_PARAMS:
-        got = entries.get(("noise", key))
-        if got is not None:
-            p = _parse_float(got[0], key, got[1])
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{key} must be in [0, 1]", got[1])
-            kwargs[key] = p
-    noise = NoiseModel(**kwargs)
-
-    target = None
-    rank = None
-    got = entries.get(("device", "cnot_target"))
-    if got is not None:
-        target = _parse_int(got[0], "cnot_target", got[1])
-        if not 0 <= target < n:
-            raise ConfigError("cnot_target out of range", got[1])
-    got = entries.get(("device", "robustness_rank"))
-    if got is not None:
-        try:
-            rank = tuple(int(tok) for tok in got[0].split())
-        except ValueError:
-            raise ConfigError("bad value for robustness_rank", got[1]) from None
-        if sorted(rank) != list(range(n)):
-            raise ConfigError("robustness_rank must be a permutation", got[1])
-    device = DeviceModel(n, cnot_target=target, robustness_rank=rank)
-
-    return RunConfig(n, shots, seed, mode, reduction, output, prep_phase, noise, device)
+        rates[key], line = _read(entries, "noise", key, 0.0, float)
+        if not 0.0 <= rates[key] <= 1.0:
+            raise ConfigError(f"{key} must be in [0, 1]", line)
+    target, line = _read(entries, "device", "cnot_target", None, int)
+    if target is not None and not 0 <= target < n:
+        raise ConfigError("cnot_target out of range", line)
+    rank, line = _read(entries, "device", "robustness_rank", None, _rank)
+    if rank is not None and sorted(rank) != list(range(n)):
+        raise ConfigError("robustness_rank must be a permutation", line)
+    return RunConfig(n, shots, seed, **choice, prep_phase=prep_phase, noise=NoiseModel(**rates),
+                     device=DeviceModel(n, cnot_target=target, robustness_rank=rank))

@@ -301,6 +301,8 @@ _NOT_UTF8 = [
     (b"qubits 3\r\nh 1 \xe9\r\n", 2),
     (b"qubits 3\vh 1\n\n# caf\xc3", 4),
     (b"\xfe", 1),
+    # A bad byte after a byte-order mark keeps its line.
+    (b"\xef\xbb\xbfqubits 3\n\n\n\xff", 4),
 ]
 
 
@@ -318,6 +320,7 @@ def test_circuit_not_utf8_exits_1_with_line(capsys, tmp_path, command, data, lin
 @pytest.mark.parametrize("data,line", [
     (b"n = 3\nseed = 4 # \xff\n", 2),
     (b"n = 3\r\n[noise]\r\n\x80", 3),
+    (b"\xef\xbb\xbfn = 3\n\xc3\xa9\n\n\xff", 4),
 ])
 def test_run_config_not_utf8_exits_1_with_line(capsys, tmp_path, data, line):
     cfg = tmp_path / "run.cfg"
@@ -326,6 +329,20 @@ def test_run_config_not_utf8_exits_1_with_line(capsys, tmp_path, data, line):
     assert code == 1
     assert out == ""
     assert err == f"error: not UTF-8 text, line {line}\n"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("parse", "qubits 3\nh 0\n"),
+    ("transpile", "qubits 3\nh 0\ncnot 0 2\n"),
+    ("run", "n = 3\n"),
+])
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, command, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    expected = run_cli(capsys, command, str(plain))
+    assert expected[0] == 0 and expected[2] == ""
+    assert run_cli(capsys, command, str(marked)) == expected
 
 
 def test_files_read_as_utf8_whatever_the_locale(tmp_path):

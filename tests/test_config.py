@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from merminsim.config import ConfigError, RunConfig, parse_config
-from merminsim.noise import NoiseModel
+from merminsim.config import _CHOICES, ConfigError, RunConfig, parse_config
+from merminsim.noise import NOISE_PARAMS, NoiseModel
 from merminsim.transpile import DeviceModel
 
 
@@ -78,6 +79,7 @@ def test_prep_phase_quarter_turns():
         ("n = 3\nwhat = 1\n", "unknown key what", 2),
         ("n = 3\n[weird]\n", "unknown section [weird]", 2),
         ("n = 3\nshots 10\n", "expected key = value", 2),
+        ("n = 3\n = 1\n", "expected key = value", 2),
         ("n = 3\nshots = 0\n", "shots must be >= 1", 2),
         ("n = 3\n\nshots = 1073741825\n", "shots must be <= 1073741824", 3),
         ("n = 3\nshots = 10\nseed = -8\n", "seed must be >= 0", 3),
@@ -99,6 +101,84 @@ def test_config_errors(text, what, line):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert str(err.value) == f"{what}, line {line}"
+
+
+def test_values_are_checked_in_a_fixed_order_not_line_order():
+    """With n = 3 and every other key bad, listed last to first, the error
+    names the first key in the fixed check order among those left; n comes
+    before all of them, and the csv rule before prep_phase."""
+    bad = {"n": "6", "shots": "0", "seed": "-1", "mode": "fast", "reduction": "none",
+           "output": "yaml", "prep_phase": "9", "depol_1q": "2", "depol_2q": "2",
+           "readout_flip": "2", "cnot_target": "7", "robustness_rank": "0 0 1"}
+    sections = {"": list(bad)[:7], "[device]": ["cnot_target", "robustness_rank"],
+                "[noise]": list(NOISE_PARAMS)}
+    checked = []
+    left = list(bad)
+    while left:
+        lines = [] if "n" in left else ["n = 3"]
+        for header, keys in sections.items():
+            lines += [header] if header else []
+            lines += [f"{key} = {bad[key]}" for key in reversed(keys) if key in left]
+        with pytest.raises(ConfigError) as exc:
+            parse_config("\n".join(lines) + "\n")
+        checked.append(exc.value.what.split()[0])
+        left.remove(checked[-1])
+    assert checked == list(bad)
+    for text in ("n = 3\nprep_phase = 9\noutput = csv\n", "n = 3\noutput = csv\nprep_phase = 9\n"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.what == "output csv requires mode sampled"
+
+
+def _readme_run_config() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("### Run configuration\n\n```\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_run_config_parses_and_states_the_defaults():
+    block = _readme_run_config()
+    assert parse_config(block).n == 4
+    defaults = parse_config("n = 3\n")
+    stated = {}
+    for line in block.splitlines():
+        setting, _, comment = line.partition("#")
+        match = re.search(r"default: (\w+)", comment)
+        if match and hasattr(defaults, key := setting.partition("=")[0].strip()):
+            stated[key] = match.group(1)
+    assert stated == {key: str(getattr(defaults, key)) for key in
+                      ("shots", "seed", "mode", "reduction", "output", "prep_phase")}
+
+
+def test_readme_choice_comments_list_what_the_parser_accepts():
+    """Each `a | b | c` comment in the README's run configuration lists
+    exactly the values its key takes, in the order the error message gives
+    them, and an `a..b` option stands for the integers a to b."""
+    listed = {}
+    for line in _readme_run_config().splitlines():
+        setting, _, comment = line.partition("#")
+        if "|" in comment:
+            options = comment.split("(")[0].replace("required:", "").split("|")
+            listed[setting.partition("=")[0].strip()] = [opt.strip() for opt in options]
+    assert set(listed) == {"n", "prep_phase", *_CHOICES}
+    for key, options in listed.items():
+        for option in options:
+            lo, dots, hi = option.partition("..")
+            for value in map(str, range(int(lo), int(hi) + 1)) if dots else [option]:
+                given = {"n": "3", "mode": "sampled", key: value}
+                cfg = parse_config("".join(f"{k} = {v}\n" for k, v in given.items()))
+                assert str(getattr(cfg, key)) == value
+        if key == "prep_phase":
+            continue
+        made_up = "0" if key == "n" else "made-up"
+        with pytest.raises(ConfigError) as exc:
+            parse_config("".join(f"{k} = {v}\n" for k, v in {"n": "3", key: made_up}.items()))
+        assert exc.value.what == f"{key} must be {', '.join(options[:-1])} or {options[-1]}"
+    assert listed["prep_phase"] == ["max", "alt", "0..7"]
+    for value, what in (("8", "prep_phase steps must be in 0..7"),
+                        ("made-up", "bad value for prep_phase")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"n = 3\nprep_phase = {value}\n")
+        assert exc.value.what == what
 
 
 def test_csv_with_sampled_is_fine():
