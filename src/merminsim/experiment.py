@@ -5,7 +5,7 @@ against the classical and quantum bounds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from numbers import Integral
 from typing import NamedTuple
@@ -273,16 +273,11 @@ def full_term_run(plan: ExperimentPlan, mode: str = "exact") -> MerminEstimate:
     return run_plan(terms, mode)
 
 
-def _field_dict(record) -> dict:
-    """A record's fields by name, without copying their values."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
 def estimate_to_json(est: MerminEstimate) -> dict:
     """The estimate's fields, with n_parties as n and per_class as a list."""
-    doc = _field_dict(est)
+    doc = asdict(est)
     doc["n"] = doc.pop("n_parties")
-    doc["per_class"] = [_field_dict(c) for c in est.per_class]
+    doc["per_class"] = list(doc["per_class"])
     return doc
 
 

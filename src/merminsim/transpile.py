@@ -23,7 +23,7 @@ Every gate kind is a cached index permutation (X, CNOT), a cached diagonal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
@@ -73,9 +73,6 @@ class TranspileReport:
     gate_count_after: int
     added_h_count: int
     phase_host_qubit: int
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_sizes(c: Circuit, d: DeviceModel) -> None:

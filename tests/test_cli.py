@@ -600,6 +600,116 @@ def test_outputs_are_never_opened_with_o_trunc(capsys, monkeypatch, tmp_path):
     assert all(not flags & os.O_TRUNC for _, flags in opened)
 
 
+# A command writes its files, then stdout. A path that cannot be opened
+# leaves every output as it was: the files the command created are removed.
+
+def _listing(directory):
+    return {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+            for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("out", [None, "new", "old", "dangling symlink"])
+def test_failed_report_leaves_every_output_as_it_was(capsys, tmp_path, out):
+    """A directory as --report: the new --out file is removed again, an old
+    one keeps its bytes, the target made through a dangling symlink is
+    removed and the link stays, and nothing reaches stdout."""
+    with pytest.raises(OSError) as exc:
+        tmp_path.write_text("")
+    argv = ["transpile", str(_LOWERABLE), "--cnot-target", "1", "--report", str(tmp_path)]
+    if out is not None:
+        path = tmp_path / "out.qc"
+        if out == "old":
+            path.write_bytes(b"old bytes\n")
+        elif out == "dangling symlink":
+            path.symlink_to(tmp_path / "target.qc")
+        argv += ["--out", str(path)]
+    before = _listing(tmp_path)
+    assert run_cli(capsys, *argv) == (1, "", f"error: {exc.value}\n")
+    assert _listing(tmp_path) == before
+
+
+def test_failed_csv_file_writes_no_other(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nmode = sampled\noutput = csv\nshots = 128\n")
+    out_dir = tmp_path / "counts"
+    (out_dir / "counts_class3.csv").mkdir(parents=True)
+    code, stdout, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(out_dir))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and "counts_class3.csv" in err
+    assert [p.name for p in out_dir.iterdir()] == ["counts_class3.csv"]
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "3"],
+    ["bounds", "3", "--json"],
+    ["parse", "GHZ"],
+    ["transpile", "GHZ", "--cnot-target", "0"],
+    ["run", "JSON"],
+    ["run", "TABLE"],
+    ["degrade", "3", "--values", "0,0.05"],
+], ids="_".join)
+def test_stdout_is_one_write_of_the_whole_output(capsys, monkeypatch, tmp_path, argv):
+    """One write, so `merminsim bounds 3 --json | head -1` cannot have its
+    reader close the pipe between two writes of one output."""
+    configs = {"JSON": "n = 3\noutput = json\n", "TABLE": "n = 3\n"}
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    paths = {"GHZ": str(FIXTURES / "valid" / "ghz3_plain.qc"),
+             **{name: str(tmp_path / name) for name in configs}}
+    argv = [paths.get(arg, arg) for arg in argv]
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0 and expected
+    recorder = _Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(argv) == 0
+    assert recorder.writes == [expected]
+
+
+def test_commands_run_with_stdout_closed(monkeypatch, tmp_path):
+    """Started with stdout closed, Python sets sys.stdout to None; as print
+    does, the output is dropped and the files are still written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nmode = sampled\noutput = csv\nshots = 64\n")
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["bounds", "3"]) == 0
+    assert main(["parse", str(FIXTURES / "valid" / "ghz3_plain.qc")]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "counts_class3.csv").exists()
+
+
+def _calls(node, name):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == name]
+
+
+def test_commands_compute_and_main_writes():
+    """No _cmd_* prints, touches sys.stdout or sys.stderr, or calls
+    _write_text; main makes the one _write_text call and the one stdout
+    write."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    commands = [fn for name, fn in functions.items() if name.startswith("_cmd_")]
+    assert len(commands) == 5
+    for fn in commands:
+        streams = [node for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                   and node.attr in ("stdout", "stderr")]
+        assert not (_calls(fn, "print") or streams or _calls(fn, "_write_text")), fn.name
+    writes = [fn.name for fn in functions.values() for _ in _calls(fn, "_write_text")]
+    assert writes == ["main"]
+    stdout = [fn.name for fn in functions.values() for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.stdout.write"]
+    assert stdout == ["main"]
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """A temporary directory holding copies of the fixtures and three small run
