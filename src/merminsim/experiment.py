@@ -45,8 +45,6 @@ SIZES = {
     5: SizeDefaults(8192, 0.0),
 }
 
-GENUINE_THRESHOLD_4 = 8.0
-
 
 def resolve_prep_phase(n: int, selector) -> float:
     """Accept "max", "alt", any non-bool integer (numpy's too) as eighth
@@ -113,7 +111,7 @@ class MerminEstimate:
     qm_bound: float
     violates_lr: bool
     sigma_distance: float | None
-    exceeds_genuine_threshold: bool | None
+    exceeds_genuine_threshold: bool
 
 
 def build_plan(
@@ -188,8 +186,12 @@ def combine(per_class, plan: ExperimentPlan, mode: str) -> MerminEstimate:
 
     per_class is a sequence of (prime_count, expectation, stderr) aligned
     with plan.classes; value = sum of signed_weight * expectation and the
-    stderr adds the independent unit errors in quadrature. The verdicts
-    judge |value|.
+    stderr adds the independent unit errors in quadrature. Both verdicts
+    judge |value| and beat their bound only by more than a relative 1e-12
+    (exact mode's accuracy), so a value on a bound reads False. The genuine
+    bound is qm_bound / sqrt(2), the most any biseparable state reaches on
+    this polynomial (Nagata, Koashi & Imoto, PRL 89, 260401 (2002); for
+    n = 3 Seevinck & Uffink, PRA 65, 012107 (2001)).
     """
     per_class = list(per_class)
     if len(per_class) != len(plan.classes):
@@ -209,7 +211,8 @@ def combine(per_class, plan: ExperimentPlan, mode: str) -> MerminEstimate:
     sigma = None
     if mode == "sampled" and stderr > 0.0:
         sigma = (magnitude - bounds.lr_bound) / stderr
-    genuine = bool(magnitude > GENUINE_THRESHOLD_4) if plan.n == 4 else None
+    violates, genuine = (bool(magnitude > bound * (1 + 1e-12))
+                         for bound in (bounds.lr_bound, bounds.qm_bound / math.sqrt(2)))
     return MerminEstimate(
         n_parties=plan.n,
         mode=mode,
@@ -222,7 +225,7 @@ def combine(per_class, plan: ExperimentPlan, mode: str) -> MerminEstimate:
         stderr=float(stderr),
         lr_bound=bounds.lr_bound,
         qm_bound=bounds.qm_bound,
-        violates_lr=bool(magnitude - bounds.lr_bound > 0),
+        violates_lr=violates,
         sigma_distance=sigma,
         exceeds_genuine_threshold=genuine,
     )
@@ -292,23 +295,18 @@ def estimate_table(est: MerminEstimate) -> str:
             f"  primes={c.prime_count}  weight={c.weight:+d}  "
             f"expectation={c.expectation:+.6f}  stderr={c.stderr:.6f}"
         )
-    lr = est.lr_bound
-    lr_text = f"{int(lr)}" if lr == int(lr) else f"{lr:.4f}"
     if est.mode == "sampled":
         exp_text = f"{est.value:.4f} +/- {est.stderr:.4f}"
     else:
         exp_text = f"{est.value:.4f} (exact)"
-    lines.append(f"  LR | QM | EXP : {lr_text} | {est.qm_bound:.4f} | {exp_text}")
+    lines.append(f"  LR | QM | EXP : {est.lr_bound:g} | {est.qm_bound:.4f} | {exp_text}")
     verdict = "yes" if est.violates_lr else "no"
     if est.sigma_distance is not None:
         verdict += f", sigma distance {est.sigma_distance:.2f}"
     lines.append(f"  violates local realism: {verdict}")
-    if est.exceeds_genuine_threshold is None:
-        genuine = "n/a"
-    else:
-        genuine = "yes" if est.exceeds_genuine_threshold else "no"
+    genuine = "yes" if est.exceeds_genuine_threshold else "no"
     lines.append(f"  exceeds genuine multipartite threshold "
-                 f"(>{GENUINE_THRESHOLD_4:g}): {genuine}")
+                 f"(>{est.qm_bound / math.sqrt(2):g}): {genuine}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,9 +2,11 @@
 
 The oracle builds every unitary from literal 2x2 matrices and explicit
 Kronecker products, with no code shared with the package kernels, so
-agreement between the two is meaningful. Noise channels are given by Kraus
-operators and applied as sums of tensor contractions, the reference for the
-package's per-term Pauli-basis depolarizing. The gate kernel, two transpiler passes,
+agreement between the two is meaningful; oracle_walk contracts the same
+literal matrices into a state, for circuits too wide for a dense unitary.
+Noise channels are given by Kraus operators and applied as sums of tensor
+contractions, the reference for the package's per-term Pauli-basis
+depolarizing. The gate kernel, two transpiler passes,
 the phase scan's per-wire cancellation rule, the circuit parser, the numpy
 Walsh-Hadamard butterfly and the Mermin recursion are kept here in their
 first form as references for the package's current ones, and the 3-, 4- and
@@ -71,6 +73,8 @@ ORACLE_1Q = {
     "tdg": np.array([[1, 0], [0, (1 - 1j) * _SQ]], dtype=complex),
 }
 
+ORACLE_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
 ORACLE_PAULI = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -120,6 +124,24 @@ def oracle_state(circuit) -> np.ndarray:
     e0 = np.zeros(1 << circuit.n_qubits, dtype=complex)
     e0[0] = 1.0
     return oracle_unitary(circuit) @ e0
+
+
+def oracle_walk(circuit) -> list[np.ndarray]:
+    """The state from |0...0> before each gate and after the last one. Each
+    gate's literal matrix (ORACLE_1Q, or ORACLE_CNOT on control and target)
+    is contracted into the state tensor, the Kronecker product with
+    identities applied without being built: 2^n work per gate instead of
+    oracle_state's 8^n, so circuits of up to 10 qubits stay cheap."""
+    n = circuit.n_qubits
+    tens = np.zeros((2,) * n, dtype=complex)
+    tens[(0,) * n] = 1.0
+    states = []
+    for gate in circuit.gates:
+        states.append(tens.reshape(-1))
+        mat = ORACLE_CNOT if gate.kind == "cnot" else ORACLE_1Q[gate.kind]
+        tens = _contract(tens, mat, list(gate.qubits))
+    states.append(tens.reshape(-1))
+    return states
 
 
 def oracle_equivalent(a, b, tol: float = 1e-10) -> bool:

@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from merminsim.circuits import MeasurementSetting, ghz_circuit, with_setting
 from merminsim.experiment import (
@@ -21,10 +23,13 @@ from merminsim.experiment import (
     run_plan,
     sampled_class_counts,
 )
-from merminsim.mermin import canonical_polynomial, symmetry_classes
+from merminsim.mermin import bounds_for, canonical_polynomial, symmetry_classes
 from merminsim.noise import NoiseModel, ZERO_NOISE
 from merminsim.statevector import CountsTable, sample_counts
 from merminsim.transpile import DeviceModel, constraint_violations
+
+from conftest import oracle_state
+from test_mermin import dense_operator
 
 SQRT2 = math.sqrt(2.0)
 
@@ -152,12 +157,117 @@ def test_exact_pipeline_alternate_phases():
 
 
 def test_genuine_threshold_flag():
-    n4 = run_plan(build_plan(4), mode="exact")
-    assert n4.exceeds_genuine_threshold is True
-    n3 = run_plan(build_plan(3), mode="exact")
-    assert n3.exceeds_genuine_threshold is None
-    degraded = run_plan(build_plan(4, noise=NoiseModel(depol_2q=0.2)), mode="exact")
-    assert degraded.exceeds_genuine_threshold is False
+    """exceeds_genuine_threshold is a bool for every n, judged against
+    qm_bound / sqrt(2): 2 sqrt(2), 8 and 8 sqrt(2) for n = 3, 4, 5. The
+    table prints each n's own threshold."""
+    assert bounds_for(4).qm_bound / SQRT2 == 8.0
+    for n, threshold in ((3, "2.82843"), (4, "8"), (5, "11.3137")):
+        ideal = run_plan(build_plan(n), mode="exact")
+        assert ideal.exceeds_genuine_threshold is True
+        assert f"threshold (>{threshold}): yes" in estimate_table(ideal)
+        # qm (1 - p)^(n - 1): 2.56, 5.79 and 6.55, past LR but not the threshold
+        degraded = run_plan(build_plan(n, noise=NoiseModel(depol_2q=0.2)), mode="exact")
+        assert degraded.violates_lr is True
+        assert degraded.exceeds_genuine_threshold is False
+        assert f"threshold (>{threshold}): no" in estimate_table(degraded)
+    # the published three-qubit rows combine to 2.855, just past 2 sqrt(2)
+    published = combine([(1, 0.715, 0.02), (3, -0.710, 0.02)], build_plan(3), "sampled")
+    assert published.exceeds_genuine_threshold is True
+
+
+def zero_noise_grid():
+    """The exact estimate of every eighth-turn prep phase, both reductions,
+    on the default device and on hub 0 with a reversed ranking."""
+    for n in SIZES:
+        hub0 = DeviceModel(n, cnot_target=0, robustness_rank=tuple(reversed(range(n))))
+        for k, reduction, device in itertools.product(range(8), ("classes", "full-terms"),
+                                                      (None, hub0)):
+            yield run_plan(build_plan(n, k, device=device, reduction=reduction))
+
+
+def test_equal_magnitudes_give_equal_verdicts():
+    """At zero noise the odd eighth turns put n = 3 and 5, and the even ones
+    n = 4, exactly on qm / sqrt(2), with the sign and the last bit varying
+    (n = 3 gives 2.82842712474619 at k = 1 and -2.8284271247461903 at
+    k = 5). A value on the bound reads False whatever its last bit, and
+    values of equal magnitude get equal verdicts."""
+    on_threshold = set()
+    verdicts = {}
+    for est in zero_noise_grid():
+        magnitude = abs(est.value)
+        if abs(magnitude - est.qm_bound / SQRT2) <= 1e-9:
+            on_threshold.add(est.n_parties)
+            assert est.exceeds_genuine_threshold is False
+        key = (est.n_parties, round(magnitude, 9))
+        verdicts.setdefault(key, set()).add((est.violates_lr, est.exceeds_genuine_threshold))
+    assert on_threshold == set(SIZES)
+    assert all(len(v) == 1 for v in verdicts.values())
+
+
+def top_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
+    values, vectors = np.linalg.eigh(h)
+    return float(values[-1]), vectors[:, -1]
+
+
+def biseparable_maximum(op: np.ndarray, n: int, rng, restarts: int = 4) -> float:
+    """The largest <a b| op |a b> found over every split of the qubits into
+    parts A and B, with pure states a of A and b of B, by alternating
+    largest-eigenvector steps: for fixed b the best a is the top eigenvector
+    of <b| op |b>, and the other way round, so the value never falls. Every
+    biseparable state mixes such products, so none reaches more."""
+    best = -math.inf
+    for size in range(1, n // 2 + 1):
+        for part in itertools.combinations(range(n), size):
+            order = list(part) + [q for q in range(n) if q not in part]
+            da, db = 1 << size, 1 << (n - size)
+            blocks = op.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
+            blocks = blocks.reshape(da, db, da, db)
+            for _ in range(restarts):
+                b = rng.normal(size=db) + 1j * rng.normal(size=db)
+                b /= np.linalg.norm(b)
+                value = -math.inf
+                for _ in range(200):
+                    _, a = top_eigenpair(np.einsum("ibjc,b,c->ij", blocks, b.conj(), b))
+                    step, b = top_eigenpair(np.einsum("ibjc,i,j->bc", blocks, a.conj(), a))
+                    if step - value <= 1e-13:
+                        break
+                    value = step
+                best = max(best, step)
+    return best
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_biseparable_maximum_stays_below_genuine_threshold(n):
+    """With the package's observables (X unprimed, Y primed) the biseparable
+    maximum of |<M>| is qm / 2, below the genuine threshold qm / sqrt(2),
+    which holds for any observables."""
+    op = dense_operator(canonical_polynomial(n))
+    rng = np.random.default_rng(n)
+    best = max(biseparable_maximum(sign * op, n, rng) for sign in (1, -1))
+    qm = bounds_for(n).qm_bound
+    assert best == pytest.approx(qm / 2, abs=1e-9)
+    assert best < qm / SQRT2
+
+
+@st.composite
+def plan_choices(draw):
+    n = draw(st.sampled_from(sorted(SIZES)))
+    device = DeviceModel(n, cnot_target=draw(st.integers(0, n - 1)),
+                         robustness_rank=tuple(draw(st.permutations(range(n)))))
+    return n, draw(st.integers(0, 7)), device, draw(st.sampled_from(["classes", "full-terms"]))
+
+
+@given(plan_choices())
+@settings(max_examples=300, deadline=None)
+def test_exact_pipeline_matches_dense_mermin_expectation(case):
+    """At zero noise every exact plan value, for any prep phase, hub,
+    ranking and reduction, is the Mermin expectation of the untranspiled
+    GHZ state, computed with dense matrices."""
+    n, k, device, reduction = case
+    est = run_plan(build_plan(n, k, device=device, reduction=reduction))
+    state = oracle_state(ghz_circuit(n, k * math.pi / 4, control=device.cnot_target))
+    want = np.vdot(state, dense_operator(canonical_polynomial(n)) @ state).real
+    assert abs(est.value - want) <= 1e-12
 
 
 def test_combine_verdicts():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from merminsim.circuits import (
+    PHASE_KINDS,
     Circuit,
     Gate,
     MeasurementSetting,
@@ -40,6 +41,7 @@ from conftest import (
     oracle_equivalent,
     oracle_state,
     oracle_unitary,
+    oracle_walk,
     reference_cancel_adjacent_pass,
     reference_movable_phase_positions,
     reference_scan_applied_gates,
@@ -491,6 +493,29 @@ def test_scan_applies_the_per_wire_stack_sequence(case):
             positions = _movable_phase_positions(circuit)
         assert recorded == reference_scan_applied_gates(circuit)
         assert positions == reference_movable_phase_positions(circuit)
+
+
+@given(star_circuits())
+@settings(max_examples=150, deadline=None)
+def test_transpile_preserves_the_dense_state(case):
+    """By the dense oracle, the lowered circuit prepares the input's state,
+    global phase included. At every phase gate of the input the off-support
+    mass is at rounding level or far above the scan's 1e-9 cut, so the cut
+    sits in a wide gap, and the scan moves exactly the gates below it."""
+    c, device = case
+    states = oracle_walk(c)
+    if c.n_qubits <= 6:
+        assert np.abs(states[-1] - oracle_state(c)).max() <= 1e-12
+    lowered, _ = transpile(c, device)
+    assert np.abs(oracle_walk(lowered)[-1] - states[-1]).max() <= 1e-12
+    below_cut = []
+    for i, g in enumerate(c.gates):
+        if g.kind in PHASE_KINDS:
+            off = float(np.sum(np.abs(states[i][1:-1]) ** 2))
+            assert off <= 1e-13 or off >= 1e-6
+            if off <= 1e-9:
+                below_cut.append(i)
+    assert _movable_phase_positions(c) == below_cut
 
 
 def reversal_first_transpile(c: Circuit, d: DeviceModel):
